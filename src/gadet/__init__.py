@@ -52,8 +52,6 @@ from .formulas import (
     formula_to_json,
 )
 from .matrix_rep import (
-    ComplexMatrix,
-    ComplexRational,
     build_representation,
     charpoly_matrix,
     det_matrix,

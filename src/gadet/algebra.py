@@ -256,7 +256,8 @@ def _normalize_exact(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _common_denominator(coeffs) -> int:
+def common_denominator(coeffs) -> int:
+    """The least common multiple of the exact coefficients' denominators."""
     d = 1
     for c in coeffs:
         cd = c.denominator
@@ -265,7 +266,8 @@ def _common_denominator(coeffs) -> int:
     return d
 
 
-def _ratio(num: int, den: int):
+def exact_ratio(num, den):
+    """num / den as an exact scalar: an int when it is whole, else a Fraction."""
     f = Fraction(num, den)
     return f.numerator if f.denominator == 1 else f
 
@@ -511,8 +513,8 @@ class Multivector:
             return Multivector._raw(sig, coeffs, True)
         # Exact path: factor out the (small) common denominators, convolve in
         # plain int arithmetic, divide back once.
-        da = _common_denominator(a)
-        db = _common_denominator(b)
+        da = common_denominator(a)
+        db = common_denominator(b)
         if da != 1:
             a = tuple(int(c * da) for c in a)
         if db != 1:
@@ -526,7 +528,7 @@ class Multivector:
             )
         else:
             coeffs = tuple(
-                _ratio(sum(prods[plus]) - sum(prods[minus]), den)
+                exact_ratio(sum(prods[plus]) - sum(prods[minus]), den)
                 for plus, minus in sig._segments
             )
         return Multivector._raw(sig, coeffs, False)

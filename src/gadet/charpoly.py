@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Multivector, Scalar, Signature
+from .algebra import ABS_TOL, REL_TOL, Multivector, Scalar, Signature, exact_ratio
 from .errors import ConsistencyError, NotInvertibleError
 
 #: Float-backend bound on |leading coefficient - 1| in charpoly_interp.
@@ -66,20 +65,14 @@ class CharPoly:
             result = result * x - c
         return result
 
-    def isclose(self, other: "CharPoly", rel_tol: float = 1e-9,
-                abs_tol: float = 1e-12) -> bool:
+    def isclose(self, other: "CharPoly", rel_tol: float = REL_TOL,
+                abs_tol: float = ABS_TOL) -> bool:
         if other.sig is not self.sig:
             return False
         return all(
             math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
             for a, b in zip(self.coeffs, other.coeffs)
         )
-
-
-def _exact(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 def _fl_run(u: Multivector):
@@ -95,7 +88,7 @@ def _fl_run(u: Multivector):
         if u.is_float:
             ck = (N / k) * sp
         else:
-            ck = _exact(Fraction(N, k) * sp)
+            ck = exact_ratio(N * sp, k)
         coeffs.append(ck)
         if k == N:
             break
@@ -145,7 +138,7 @@ def _newton_interpolate(nodes: Sequence, values: Sequence):
             if isinstance(num, float) or isinstance(den, float):
                 table[i] = num / den
             else:
-                table[i] = _exact(Fraction(num, den))
+                table[i] = exact_ratio(num, den)
     # Expand the Newton form into monomial coefficients.
     poly = [table[npts - 1]]
     for i in range(npts - 2, -1, -1):

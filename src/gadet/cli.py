@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -27,6 +28,8 @@ import time
 from fractions import Fraction
 
 from .algebra import (
+    ABS_TOL,
+    REL_TOL,
     Multivector,
     Signature,
     random_multivector,
@@ -180,9 +183,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _close_scalars(a, b) -> bool:
-    import math
-
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 def _values_agree(values, float_backend: bool) -> bool:
@@ -199,7 +200,10 @@ def _input_multivector(args) -> Multivector:
     sig = args.sig
     mv = parse_multivector(args.expression, sig)
     if args.backend == "float":
-        mv = mv.to_float()
+        try:
+            mv = mv.to_float()
+        except OverflowError:
+            raise ParseError("a coefficient is too large for the float backend") from None
     return mv
 
 
@@ -461,6 +465,13 @@ def _sig_type(text: str) -> Signature:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(sub, expression: bool = True) -> None:
     sub.add_argument("--sig", type=_sig_type, required=True,
                      metavar="P,Q", help="algebra signature, e.g. 2,0")
@@ -503,13 +514,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="cross-method agreement on random inputs")
     _add_common(p, expression=False)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_check)
 
     p = subs.add_parser("bench", help="time determinant methods on a random batch")
     _add_common(p, expression=False)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_bench)
 

@@ -2,22 +2,29 @@
 
 Generators map to Kronecker chains of the three anticommuting 2x2 matrices
 (even n) or to a two-block form whose last generator is a scaled product of
-the others with opposite signs in the two blocks (odd n).  The determinant of
-the represented matrix defines Det(U); it is computed by fraction-free
-elimination over exact Gaussian rationals (default) or by partial-pivot
-elimination over complex floats, entirely independent of the multivector
-recursions it cross-checks.
+the others with opposite signs in the two blocks (odd n).  Every generator
+and blade matrix is monomial: each row holds exactly one nonzero entry, a
+power of i.  Such a matrix is stored as two tuples, the column of each row's
+entry and that entry's power of i (0-3), so products and Kronecker products
+are index arithmetic.
+
+beta(u) is a pair (real part, imaginary part) of N x N row tuples.  The exact
+determinant scales beta(u) by the common denominator D of u's coefficients
+and runs Bareiss elimination over Gaussian integers, each step divided
+exactly by the previous pivot; the characteristic coefficients come from the
+trace recursion on D*beta(u) in integer arithmetic.  The float backend uses
+numpy on the complex matrix.  None of this touches the multivector product
+it cross-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 import numpy as np
 
-from .algebra import Multivector, Scalar, Signature
+from .algebra import Multivector, Scalar, Signature, common_denominator, exact_ratio
 from .charpoly import CharPoly
 from .errors import ConsistencyError, NonConvergenceError
 
@@ -26,205 +33,74 @@ REAL_TOL = 1e-8
 #: Relative tolerance for the eigenvalue Vieta reconstruction check.
 EIGEN_RECON_TOL = 1e-8
 
+# A monomial matrix (cols, phases): row r holds i**phases[r] in column cols[r].
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+# A dense complex matrix: (real rows, imaginary rows).
+Matrix = tuple[tuple[tuple, ...], tuple[tuple, ...]]
 
-def _exact(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
-
-
-class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _exact(re))
-        object.__setattr__(self, "im", _exact(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexRational is immutable")
-
-    def __add__(self, other):
-        if isinstance(other, ComplexRational):
-            return ComplexRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexRational):
-            return ComplexRational(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re - other, self.im)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexRational):
-            return ComplexRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ComplexRational(other)
-        if not isinstance(other, ComplexRational):
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        return ComplexRational(
-            Fraction(self.re * other.re + self.im * other.im, norm),
-            Fraction(self.im * other.re - self.re * other.im, norm),
-        )
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def conjugate(self):
-        return ComplexRational(self.re, -self.im)
-
-    def __repr__(self):
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}j)"
+_SIGMA1 = ((1, 0), (0, 0))
+_SIGMA2 = ((1, 0), (3, 1))
+_SIGMA3 = ((0, 1), (0, 2))
+_ID2 = ((0, 1), (0, 0))
 
 
-_CR_ZERO = ComplexRational(0)
-_CR_ONE = ComplexRational(1)
-_CR_I = ComplexRational(0, 1)
+def _identity(dim: int) -> Monomial:
+    return tuple(range(dim)), (0,) * dim
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """A square matrix over exact Gaussian rationals or complex floats."""
-
-    rows: tuple[tuple, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, dim: int, *, float_backend: bool = False) -> "ComplexMatrix":
-        one, zero = (1 + 0j, 0j) if float_backend else (_CR_ONE, _CR_ZERO)
-        return cls(tuple(
-            tuple(one if r == c else zero for c in range(dim)) for r in range(dim)
-        ))
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexMatrix):
-            cols = tuple(zip(*other.rows))
-            return ComplexMatrix(tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), _zero_like(row[0]))
-                      for col in cols)
-                for row in self.rows
-            ))
-        return NotImplemented
-
-    def __add__(self, other):
-        return ComplexMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
-
-    def __sub__(self, other):
-        return ComplexMatrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
-
-    def scale(self, s) -> "ComplexMatrix":
-        return ComplexMatrix(tuple(tuple(e * s for e in row) for row in self.rows))
-
-    def subtract_scalar(self, s) -> "ComplexMatrix":
-        """self - s*I."""
-        return ComplexMatrix(tuple(
-            tuple(e - s if r == c else e for c, e in enumerate(row))
-            for r, row in enumerate(self.rows)
-        ))
-
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.dim)),
-                   _zero_like(self.rows[0][0]))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.rows],
-                        dtype=np.complex128)
+def _kron(a: Monomial, b: Monomial) -> Monomial:
+    (ca, pa), (cb, pb) = a, b
+    db = len(cb)
+    return (tuple(x * db + y for x in ca for y in cb),
+            tuple((x + y) % 4 for x in pa for y in pb))
 
 
-def _zero_like(entry):
-    return 0j if isinstance(entry, complex) else _CR_ZERO
+def _mul(a: Monomial, b: Monomial) -> Monomial:
+    (ca, pa), (cb, pb) = a, b
+    return (tuple(cb[c] for c in ca),
+            tuple((p + pb[c]) % 4 for c, p in zip(ca, pa)))
 
 
-def _kron(a: tuple, b: tuple) -> tuple:
-    db = len(b)
-    return tuple(
-        tuple(a[r // db][c // db] * b[r % db][c % db]
-              for c in range(len(a) * db))
-        for r in range(len(a) * db)
-    )
+def _times_i(a: Monomial, k: int) -> Monomial:
+    """a * i**k."""
+    cols, phases = a
+    return cols, tuple((p + k) % 4 for p in phases)
 
 
-_SIGMA1 = ((_CR_ZERO, _CR_ONE), (_CR_ONE, _CR_ZERO))
-_SIGMA2 = ((_CR_ZERO, -_CR_I), (_CR_I, _CR_ZERO))
-_SIGMA3 = ((_CR_ONE, _CR_ZERO), (_CR_ZERO, -_CR_ONE))
-_ID2 = ((_CR_ONE, _CR_ZERO), (_CR_ZERO, _CR_ONE))
+def _block_diag(a: Monomial, b: Monomial) -> Monomial:
+    (ca, pa), (cb, pb) = a, b
+    return ca + tuple(c + len(ca) for c in cb), pa + pb
 
 
-def _even_generator_rows(n: int, eta) -> list[tuple]:
+def _even_generators(n: int, eta) -> list[Monomial]:
     """Generator matrices for even n: slot ceil(a/2) carries sigma1/sigma2,
     sigma3 pads before, identity after; negative-eta generators scale by i."""
     w = n // 2
-    mats = []
+    gens = []
     for a in range(1, n + 1):
         slot = (a + 1) // 2
         base = _SIGMA1 if a % 2 == 1 else _SIGMA2
-        chain = [_SIGMA3] * (slot - 1) + [base] + [_ID2] * (w - slot)
-        rows = reduce(_kron, chain)
-        if eta[a - 1] < 0:
-            rows = tuple(tuple(e * _CR_I for e in row) for row in rows)
-        mats.append(rows)
-    return mats
+        g = reduce(_kron, [_SIGMA3] * (slot - 1) + [base] + [_ID2] * (w - slot))
+        gens.append(_times_i(g, 1) if eta[a - 1] < 0 else g)
+    return gens
 
 
-def _block_diag(a: tuple, b: tuple) -> tuple:
-    da, db = len(a), len(b)
-    zero = _CR_ZERO
-    rows = []
-    for r in range(da):
-        rows.append(tuple(a[r]) + (zero,) * db)
-    for r in range(db):
-        rows.append((zero,) * da + tuple(b[r]))
-    return tuple(rows)
-
-
-def _mat_mul_rows(a: tuple, b: tuple) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), _CR_ZERO) for col in cols)
-        for row in a
-    )
+def _generators(sig: Signature) -> list[Monomial]:
+    n, eta = sig.n, sig.eta
+    if n % 2 == 0:
+        return _even_generators(n, eta)
+    small = _even_generators(n - 1, eta[: n - 1])
+    half = 2 ** ((n - 1) // 2)
+    pseudo = reduce(_mul, small, _identity(half))
+    cols, phases = _mul(pseudo, pseudo)
+    if cols != tuple(range(half)) or len(set(phases)) != 1 or phases[0] % 2:
+        raise ConsistencyError("product of even-part generators does not square to +-I")
+    # (c * pseudo)**2 must equal eta_nn * I.
+    square = 1 if phases[0] == 0 else -1
+    scaled = pseudo if square == eta[n - 1] else _times_i(pseudo, 1)
+    full = [_block_diag(g, g) for g in small]
+    full.append(_block_diag(scaled, _times_i(scaled, 2)))
+    return full
 
 
 class Representation:
@@ -232,105 +108,73 @@ class Representation:
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.generators = tuple(
-            ComplexMatrix(rows) for rows in self._generator_rows(sig)
-        )
+        self.generators = tuple(_generators(sig))
         self._check_relations()
-        self._blades = self._build_blades()
+        blades = [_identity(sig.N)]
+        for bits in range(1, sig.dim):
+            low = bits & -bits
+            blades.append(_mul(self.generators[low.bit_length() - 1], blades[bits ^ low]))
+        self.blades = tuple(blades)
         self._check_faithful()
-        self._blade_entries = [
-            [(r, c, e) for r, row in enumerate(m.rows) for c, e in enumerate(row) if e]
-            for m in self._blades
-        ]
-        self._blade_entries_float = [
-            [(r, c, complex(e)) for r, c, e in entries]
-            for entries in self._blade_entries
-        ]
-
-    @staticmethod
-    def _generator_rows(sig: Signature):
-        n, eta = sig.n, sig.eta
-        if n % 2 == 0:
-            return _even_generator_rows(n, eta)
-        small = _even_generator_rows(n - 1, eta[: n - 1])
-        half = 2 ** ((n - 1) // 2)
-        identity_small = tuple(
-            tuple(_CR_ONE if r == c else _CR_ZERO for c in range(half))
-            for r in range(half)
+        # Flat indices into the 2*N*N (real rows, then imaginary rows) entries
+        # that each blade's coefficient is added to and subtracted from.
+        N = sig.N
+        self._scatter = tuple(
+            tuple(tuple(r * N + c + (N * N if p % 2 else 0)
+                        for r, (c, p) in enumerate(zip(cols, phases)) if p // 2 == sign)
+                  for sign in (0, 1))
+            for cols, phases in self.blades
         )
-        pseudo = reduce(_mat_mul_rows, small, identity_small)
-        square = _mat_mul_rows(pseudo, pseudo)
-        s = square[0][0]
-        if any(square[r][c] != (s if r == c else _CR_ZERO)
-               for r in range(half) for c in range(half)) or s not in (1, -1):
-            raise ConsistencyError("product of even-part generators does not square to +-I")
-        # (c * pseudo)**2 must equal eta_nn * I.
-        scale = _CR_ONE if s == eta[n - 1] else _CR_I
-        scaled = tuple(tuple(e * scale for e in row) for row in pseudo)
-        negated = tuple(tuple(-e for e in row) for row in scaled)
-        full = [_block_diag(rows, rows) for rows in small]
-        full.append(_block_diag(scaled, negated))
-        return full
 
     def _check_relations(self) -> None:
+        # g_a g_b + g_b g_a = 2 eta_a delta_ab I: g_a**2 is eta_a I, and for
+        # a != b the two products share columns with opposite entries.
         sig = self.sig
         for a in range(sig.n):
             ga = self.generators[a]
             for b in range(a, sig.n):
                 gb = self.generators[b]
-                anti = ga * gb + gb * ga
-                expect = 2 * sig.eta[a] if a == b else 0
-                for r, row in enumerate(anti.rows):
-                    for c, entry in enumerate(row):
-                        want = expect if r == c else 0
-                        if entry != want:
-                            raise ConsistencyError(
-                                f"generator relation failed for (e{a+1}, e{b+1}) in {sig}"
-                            )
-
-    def _build_blades(self) -> tuple[ComplexMatrix, ...]:
-        blades = [ComplexMatrix.identity(self.sig.N)]
-        for bits in range(1, self.sig.dim):
-            low = bits & -bits
-            rest = bits ^ low
-            blades.append(self.generators[low.bit_length() - 1] * blades[rest])
-        return tuple(blades)
+                (cab, pab), (cba, pba) = _mul(ga, gb), _mul(gb, ga)
+                if a == b:
+                    ok = (cab, pab) == _times_i(_identity(sig.N), 1 - sig.eta[a])
+                else:
+                    ok = cab == cba and all((x - y) % 4 == 2 for x, y in zip(pab, pba))
+                if not ok:
+                    raise ConsistencyError(
+                        f"generator relation failed for (e{a+1}, e{b+1}) in {sig}"
+                    )
 
     def _check_faithful(self) -> None:
         # Faithfulness on the real algebra reduces to: no two blade matrices
-        # are proportional.  Normalize each by its first nonzero entry and
-        # require all keys distinct; also require non-scalar blades traceless
-        # (this is what makes Tr(U) = N * <U>_0).
+        # are proportional, i.e. none share columns with a constant phase
+        # offset.  Non-scalar blades must also be traceless (this is what
+        # makes Tr(U) = N * <U>_0).
         seen = {}
-        for bits, mat in enumerate(self._blades):
-            pivot = next((e for row in mat.rows for e in row if e), None)
-            if pivot is None:
-                raise ConsistencyError(f"blade {bits} represents as zero in {self.sig}")
-            key = tuple(tuple((x / pivot).re for x in row) +
-                        tuple((x / pivot).im for x in row) for row in mat.rows)
+        for bits, (cols, phases) in enumerate(self.blades):
+            key = (cols, tuple((p - phases[0]) % 4 for p in phases))
             if key in seen:
                 raise ConsistencyError(
                     f"blades {seen[key]} and {bits} are proportional in {self.sig}"
                 )
             seen[key] = bits
-            if bits and mat.trace() != 0:
+            diagonal = [p for r, (c, p) in enumerate(zip(cols, phases)) if c == r]
+            if bits and (diagonal.count(0) != diagonal.count(2)
+                         or diagonal.count(1) != diagonal.count(3)):
                 raise ConsistencyError(
                     f"non-scalar blade {bits} has nonzero trace in {self.sig}"
                 )
 
-    def matrix(self, u: Multivector) -> ComplexMatrix:
+    def matrix(self, u: Multivector) -> Matrix:
         N = self.sig.N
-        if u.is_float:
-            acc = [[0j] * N for _ in range(N)]
-            entries = self._blade_entries_float
-        else:
-            acc = [[_CR_ZERO] * N for _ in range(N)]
-            entries = self._blade_entries
-        for bits, coeff in enumerate(u.coeffs):
+        acc = [0.0 if u.is_float else 0] * (2 * N * N)
+        for coeff, (plus, minus) in zip(u.coeffs, self._scatter):
             if coeff:
-                for r, c, value in entries[bits]:
-                    acc[r][c] = acc[r][c] + coeff * value
-        return ComplexMatrix(tuple(tuple(row) for row in acc))
+                for i in plus:
+                    acc[i] += coeff
+                for i in minus:
+                    acc[i] -= coeff
+        rows = [tuple(acc[i:i + N]) for i in range(0, 2 * N * N, N)]
+        return tuple(rows[:N]), tuple(rows[N:])
 
 
 _REPRESENTATIONS: dict[Signature, Representation] = {}
@@ -345,42 +189,69 @@ def build_representation(sig: Signature) -> Representation:
     return rep
 
 
-def represent(u: Multivector) -> ComplexMatrix:
-    """The matrix of u: the linear extension of the blade matrices."""
+def represent(u: Multivector) -> Matrix:
+    """beta(u) as (real rows, imaginary rows) in u's backend: the linear
+    extension of the blade matrices."""
     return build_representation(u.sig).matrix(u)
 
 
-def _det_bareiss(matrix: ComplexMatrix) -> ComplexRational:
-    """Fraction-free elimination; exact for Gaussian-rational entries."""
-    d = matrix.dim
-    a = [list(row) for row in matrix.rows]
+def _to_numpy(mat: Matrix) -> np.ndarray:
+    re, im = mat
+    return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+
+
+def _scaled_ints(u: Multivector, mat: Matrix) -> tuple[int, list, list]:
+    """(D, D*mat as Gaussian-integer row lists), D the common denominator of
+    u's coefficients; mat = beta(u)."""
+    den = common_denominator(u.coeffs)
+    re, im = ([[int(x * den) for x in row] for row in part] for part in mat)
+    return den, re, im
+
+
+def _det_bareiss(re: list, im: list) -> tuple[int, int]:
+    """Fraction-free elimination over Gaussian integers (re + i*im), each
+    step divided exactly by the previous pivot; works in place."""
+    d = len(re)
     sign = 1
-    prev = _CR_ONE
+    prev_r, prev_i = 1, 0
     for k in range(d - 1):
-        if not a[k][k]:
+        if not (re[k][k] or im[k][k]):
             for r in range(k + 1, d):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
+                if re[r][k] or im[r][k]:
+                    re[k], re[r] = re[r], re[k]
+                    im[k], im[r] = im[r], im[k]
                     sign = -sign
                     break
             else:
-                return _CR_ZERO
-        pivot = a[k][k]
+                return 0, 0
+        piv_r, piv_i = re[k][k], im[k][k]
+        norm = prev_r * prev_r + prev_i * prev_i
+        row_kr, row_ki = re[k], im[k]
         for i in range(k + 1, d):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
+            row_ir, row_ii = re[i], im[i]
+            lead_r, lead_i = row_ir[k], row_ii[k]
             for j in range(k + 1, d):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) / prev
-        prev = pivot
-    result = a[d - 1][d - 1]
-    return result if sign > 0 else -result
+                xr, xi, yr, yi = row_ir[j], row_ii[j], row_kr[j], row_ki[j]
+                # x * pivot - lead * y, then times conj(prev) / |prev|**2.
+                nr = xr * piv_r - xi * piv_i - lead_r * yr + lead_i * yi
+                ni = xr * piv_i + xi * piv_r - lead_r * yi - lead_i * yr
+                qr, rem_r = divmod(nr * prev_r + ni * prev_i, norm)
+                qi, rem_i = divmod(ni * prev_r - nr * prev_i, norm)
+                if rem_r or rem_i:
+                    raise ConsistencyError("Bareiss step is not divisible by the previous pivot")
+                row_ir[j], row_ii[j] = qr, qi
+        prev_r, prev_i = piv_r, piv_i
+    return sign * re[d - 1][d - 1], sign * im[d - 1][d - 1]
 
 
-def _require_real_exact(value: ComplexRational, context: str):
-    if value.im != 0:
-        raise ConsistencyError(f"{context} has nonzero imaginary part: {value}")
-    return value.re
+def _gauss_matmul(ar: list, ai: list, br: list, bi: list) -> tuple[list, list]:
+    """(ar + i*ai) @ (br + i*bi) over row lists."""
+    cols = list(zip(zip(*br), zip(*bi)))
+    out_r, out_i = [], []
+    for xr, xi in zip(ar, ai):
+        out_r.append([sum(map(mul, xr, cr)) - sum(map(mul, xi, ci)) for cr, ci in cols])
+        out_i.append([sum(map(mul, xr, ci)) + sum(map(mul, xi, cr)) for cr, ci in cols])
+    return out_r, out_i
 
 
 def _require_real_float(value: complex, context: str) -> float:
@@ -390,32 +261,50 @@ def _require_real_float(value: complex, context: str) -> float:
 
 
 def det_matrix(u: Multivector) -> Scalar:
-    """Det(u) = det(beta(u)); exact Bareiss or float partial-pivot LU."""
+    """Det(u) = det(beta(u)); exact Gaussian-integer Bareiss or float LU."""
     mat = represent(u)
     if u.is_float:
-        det = complex(np.linalg.det(mat.to_numpy()))
+        det = complex(np.linalg.det(_to_numpy(mat)))
         return _require_real_float(det, "det(beta(u))")
-    det = _det_bareiss(mat)
-    return _require_real_exact(det, "det(beta(u))")
+    den, re, im = _scaled_ints(u, mat)
+    det_r, det_i = _det_bareiss(re, im)
+    if det_i:
+        raise ConsistencyError(f"det(beta(u)) has nonzero imaginary part: {det_i}")
+    return exact_ratio(det_r, den ** u.sig.N)
 
 
 def charpoly_matrix(u: Multivector) -> CharPoly:
     """Characteristic coefficients from the trace recursion on beta(u)."""
     sig = u.sig
-    mat = represent(u)
     N = sig.N
-    mk = mat
+    mat = represent(u)
     coeffs = []
-    for k in range(1, N + 1):
-        t = mk.trace()
-        if u.is_float:
+    if u.is_float:
+        m = _to_numpy(mat)
+        mk = m
+        for k in range(1, N + 1):
+            t = complex(np.trace(mk))
             ck = _require_real_float(t, f"trace of step-{k} matrix") / k
-        else:
-            re = _require_real_exact(t, f"trace of step-{k} matrix")
-            ck = _exact(Fraction(re, k))
-        coeffs.append(ck)
+            coeffs.append(ck)
+            if k < N:
+                mk = m @ (mk - ck * np.eye(N))
+        return CharPoly(sig, tuple(coeffs))
+    # On M = D*beta(u) the recursion stays in Gaussian integers, and its
+    # coefficients are D**k times those of beta(u).
+    den, mr, mi = _scaled_ints(u, mat)
+    kr, ki = mr, mi
+    for k in range(1, N + 1):
+        if sum(ki[r][r] for r in range(N)):
+            raise ConsistencyError(f"trace of step-{k} matrix has nonzero imaginary part")
+        ck, rem = divmod(sum(kr[r][r] for r in range(N)), k)
+        if rem:
+            raise ConsistencyError(f"trace of step-{k} matrix is not divisible by {k}")
+        coeffs.append(exact_ratio(ck, den ** k))
         if k < N:
-            mk = mat * mk.subtract_scalar(ck)
+            shifted = [row[:] for row in kr]
+            for r in range(N):
+                shifted[r][r] -= ck
+            kr, ki = _gauss_matmul(mr, mi, shifted, ki)
     return CharPoly(sig, tuple(coeffs))
 
 

@@ -240,3 +240,17 @@ def test_float_backend_det(capsys):
     payload = json.loads(out)
     assert code == 0
     assert abs(payload["det"] - 25.0) < 1e-9
+
+
+def test_float_overflow_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "det", "--sig", "1,0", "--backend", "float", "1e+400")
+    assert code == 2
+    assert "too large" in err
+
+
+@pytest.mark.parametrize("command", ["bench", "check"])
+def test_trials_must_be_positive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--sig", "1,0", "--trials", "0"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err

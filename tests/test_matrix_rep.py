@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
 from gadet import (
-    ComplexMatrix,
-    ComplexRational,
+    ConsistencyError,
     Multivector,
     Signature,
     build_representation,
@@ -18,19 +19,45 @@ from gadet import (
     fl_coefficients,
     represent,
 )
+from gadet import matrix_rep
+from gadet.matrix_rep import Representation
 from helpers import SIGNATURES, random_mvs
 
 
-def test_complex_rational_arithmetic():
-    a = ComplexRational(1, 2)
-    b = ComplexRational(3, -1)
-    assert a + b == ComplexRational(4, 1)
-    assert a * b == ComplexRational(5, 5)
-    assert (a * b) / b == a
-    assert -a == ComplexRational(-1, -2)
-    assert complex(a) == 1 + 2j
-    assert a != b and a == ComplexRational(1, 2)
-    assert ComplexRational(Fraction(4, 2)) == 2
+def dense(mono):
+    """A monomial (cols, phases) matrix as (real rows, imaginary rows)."""
+    cols, phases = mono
+    unit = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
+    re = tuple(tuple(unit[p][0] if c == col else 0 for c in range(len(cols)))
+               for col, p in zip(cols, phases))
+    im = tuple(tuple(unit[p][1] if c == col else 0 for c in range(len(cols)))
+               for col, p in zip(cols, phases))
+    return re, im
+
+
+def scalar_matrix(value, dim):
+    re = tuple(tuple(value if r == c else 0 for c in range(dim)) for r in range(dim))
+    return re, tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
+
+
+def add(a, b):
+    return tuple(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(pa, pb))
+                 for pa, pb in zip(a, b))
+
+
+def matmul(a, b):
+    """Exact complex product of (real rows, imaginary rows) matrices."""
+    (ar, ai), (br, bi) = a, b
+    dim = len(ar)
+
+    def entry(r, c):
+        re = sum(ar[r][k] * br[k][c] - ai[r][k] * bi[k][c] for k in range(dim))
+        im = sum(ar[r][k] * bi[k][c] + ai[r][k] * br[k][c] for k in range(dim))
+        return re, im
+
+    cells = [[entry(r, c) for c in range(dim)] for r in range(dim)]
+    return (tuple(tuple(e[0] for e in row) for row in cells),
+            tuple(tuple(e[1] for e in row) for row in cells))
 
 
 def test_construction_self_checks_pass_everywhere():
@@ -38,49 +65,76 @@ def test_construction_self_checks_pass_everywhere():
         build_representation(sig)  # raises on any relation failure
 
 
+def _corrupt_phase(gens):
+    cols, phases = gens[0]
+    return [(cols, ((phases[0] + 1) % 4,) + phases[1:])] + gens[1:]
+
+
+def _corrupt_column(gens):
+    cols, phases = gens[0]
+    return [(tuple(range(len(cols))), phases)] + gens[1:]
+
+
+def _unnegated_last_block(gens):
+    # The odd-n last generator with equal, not opposite, blocks still
+    # satisfies every relation but makes the pseudoscalar a multiple of I.
+    cols, phases = gens[-1]
+    half = len(phases) // 2
+    return gens[:-1] + [(cols, phases[:half] * 2)]
+
+
+@pytest.mark.parametrize("corrupt, sig, message", [
+    (_corrupt_phase, Signature(2, 0), "relation"),
+    (_corrupt_column, Signature(2, 0), "relation"),
+    (_unnegated_last_block, Signature(3, 0), "proportional"),
+])
+def test_self_checks_reject_a_corrupted_generator(monkeypatch, corrupt, sig, message):
+    good = matrix_rep._generators
+    monkeypatch.setattr(matrix_rep, "_generators", lambda s: corrupt(good(s)))
+    with pytest.raises(ConsistencyError, match=message):
+        Representation(sig)
+
+
 def test_g10_generator_blocks():
     rep = build_representation(Signature(1, 0))
-    g = rep.generators[0]
-    assert g.rows[0][0] == 1 and g.rows[1][1] == -1
-    assert g.rows[0][1] == 0 and g.rows[1][0] == 0
+    re, im = dense(rep.generators[0])
+    assert re == ((1, 0), (0, -1))
+    assert im == ((0, 0), (0, 0))
 
 
 def test_g01_generator_squares_to_minus_identity():
     rep = build_representation(Signature(0, 1))
-    g = rep.generators[0]
-    sq = g * g
-    assert sq.rows[0][0] == -1 and sq.rows[1][1] == -1
+    g = dense(rep.generators[0])
+    assert matmul(g, g) == scalar_matrix(-1, 2)
 
 
 def test_g20_generator_relations():
     rep = build_representation(Signature(2, 0))
-    g1, g2 = rep.generators
-    identity = ComplexMatrix.identity(2)
-    assert (g1 * g1).rows == identity.rows
-    assert (g2 * g2).rows == identity.rows
-    anti = g1 * g2 + g2 * g1
-    assert all(not e for row in anti.rows for e in row)
+    g1, g2 = map(dense, rep.generators)
+    assert matmul(g1, g1) == scalar_matrix(1, 2)
+    assert matmul(g2, g2) == scalar_matrix(1, 2)
+    assert add(matmul(g1, g2), matmul(g2, g1)) == scalar_matrix(0, 2)
 
 
 def test_identity_represents_as_identity_matrix():
     for sig in SIGNATURES:
-        assert represent(sig.identity).rows == ComplexMatrix.identity(sig.N).rows
+        assert represent(sig.identity) == scalar_matrix(1, sig.N)
 
 
 def test_representation_is_linear_and_multiplicative():
     for sig in SIGNATURES:
         u, v = random_mvs(sig, 2, 60)
         mu, mv = represent(u), represent(v)
-        assert represent(u + v).rows == (mu + mv).rows
-        assert represent(u * v).rows == (mu * mv).rows
+        assert represent(u + v) == add(mu, mv)
+        assert represent(u * v) == matmul(mu, mv)
 
 
 def test_trace_identity():
     for sig in SIGNATURES:
         u = random_mvs(sig, 1, 61)[0]
-        t = represent(u).trace()
-        assert t.im == 0
-        assert t.re == sig.N * u.scalar_part()
+        re, im = represent(u)
+        assert sum(im[r][r] for r in range(sig.N)) == 0
+        assert sum(re[r][r] for r in range(sig.N)) == sig.N * u.scalar_part()
 
 
 def test_det_examples():
