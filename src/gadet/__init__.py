@@ -32,6 +32,7 @@ from .charpoly import (
 )
 from .errors import (
     ConsistencyError,
+    FloatRangeError,
     GadetError,
     NonConvergenceError,
     NotGenericError,
@@ -66,7 +67,6 @@ from .vieta import (
     eigen_compare,
     f_function,
     gelfand_retakh_ys,
-    subset_masks,
     vieta_all,
     vieta_coefficient,
 )

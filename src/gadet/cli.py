@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: det, charpoly, inverse, eigen, check, formulas, bench.  Exit
-codes: 0 success/consistent, 2 parse error, 3 not invertible, 4 not generic,
-5 cross-method inconsistency.
+codes: 0 success/consistent, 1 other error (e.g. a float overflow), 2 parse
+error, 3 not invertible, 4 not generic, 5 cross-method inconsistency.
 
 Multivector expression grammar::
 
@@ -26,17 +26,21 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebra import (
     ABS_TOL,
     REL_TOL,
     Multivector,
+    Scalar,
     Signature,
     random_multivector,
 )
-from .charpoly import adjugate, charpoly_interp, det_fl, fl_coefficients, inverse
+from .charpoly import (CharPoly, adjugate, charpoly_interp, det_fl,
+                       fl_coefficients, inverse)
 from .errors import (
     ConsistencyError,
+    FloatRangeError,
     GadetError,
     NotGenericError,
     NotInvertibleError,
@@ -53,11 +57,6 @@ from .formulas import (
 from .matrix_rep import charpoly_matrix, det_matrix, eigenvalues
 from .vieta import (eigen_compare, f_function, gelfand_retakh_ys, vieta_all,
                     vieta_coefficient)
-
-METHODS = (
-    "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
-    "matrix", "interp", "all",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +181,24 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _close_scalars(a, b) -> bool:
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-
-
 def _values_agree(values, float_backend: bool) -> bool:
     first = values[0]
     if float_backend:
-        return all(_close_scalars(first, v) for v in values[1:])
+        return all(math.isclose(first, v, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+                   for v in values[1:])
     return all(first == v for v in values[1:])
+
+
+def _charpolys_agree(a: CharPoly, b: CharPoly, float_backend: bool) -> bool:
+    return a.isclose(b) if float_backend else a == b
+
+
+def _require_finite(values) -> None:
+    """A float result that overflowed to inf or became nan is an error, not
+    an answer."""
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise FloatRangeError("a float-backend result is outside the double "
+                              "range (inf or nan)")
 
 
 # ---------------------------------------------------------------------------
@@ -207,47 +215,54 @@ def _input_multivector(args) -> Multivector:
     return mv
 
 
-def _det_by_method(method: str, u: Multivector):
-    n = u.sig.n
-    if method == "fl":
-        return det_fl(u)
-    if method == "matrix":
-        return det_matrix(u)
-    if method == "interp":
-        return charpoly_interp(u).det
-    if method == "closed-triangle":
-        return evaluate_det(det_formula(n, "triangle"), u)
-    if method == "closed-bar":
-        return evaluate_det(det_formula(n, default_bar_family(n)), u)
-    if method == "vieta-triangle":
-        f = f_function(n, "triangle")
+class Method(NamedTuple):
+    """A determinant route, and its characteristic-polynomial route if it
+    has one.  Each takes a multivector of either backend."""
+
+    det: Callable[[Multivector], Scalar]
+    charpoly: Callable[[Multivector], CharPoly] | None = None
+
+
+def _triangle(n: int) -> str:
+    return "triangle"
+
+
+def _closed(family: Callable[[int], str]) -> Method:
+    return Method(lambda u: evaluate_det(det_formula(u.sig.n, family(u.sig.n)), u))
+
+
+def _vieta(family: Callable[[int], str]) -> Method:
+    def det(u):
+        f = f_function(u.sig.n, family(u.sig.n))
         return -vieta_coefficient(f, u, f.arity)
-    if method == "vieta-bar":
-        f = f_function(n, default_bar_family(n))
-        return -vieta_coefficient(f, u, f.arity)
-    raise ValueError(f"unknown method {method}")
+
+    return Method(det, lambda u: vieta_all(f_function(u.sig.n, family(u.sig.n)), u))
 
 
-def _charpoly_by_method(method: str, u: Multivector):
-    n = u.sig.n
-    if method == "fl":
-        return fl_coefficients(u)
-    if method == "matrix":
-        return charpoly_matrix(u)
-    if method == "interp":
-        return charpoly_interp(u)
-    if method == "vieta-triangle":
-        return vieta_all(f_function(n, "triangle"), u)
-    if method == "vieta-bar":
-        return vieta_all(f_function(n, default_bar_family(n)), u)
-    raise ValueError(
-        f"method {method!r} does not produce a characteristic polynomial"
-    )
+#: Every method, in output order.  closed-bar and vieta-bar use the
+#: fewest-term bar family available at the input's n.
+METHODS = {
+    "fl": Method(det_fl, fl_coefficients),
+    "closed-triangle": _closed(_triangle),
+    "closed-bar": _closed(default_bar_family),
+    "vieta-triangle": _vieta(_triangle),
+    "vieta-bar": _vieta(default_bar_family),
+    "matrix": Method(det_matrix, charpoly_matrix),
+    "interp": Method(lambda u: charpoly_interp(u).det, charpoly_interp),
+}
+_CHARPOLY_METHODS = tuple(m for m, spec in METHODS.items() if spec.charpoly)
 
 
-_DET_METHODS = ("fl", "closed-triangle", "closed-bar", "vieta-triangle",
-                "vieta-bar", "matrix", "interp")
-_CHARPOLY_METHODS = ("fl", "vieta-triangle", "vieta-bar", "matrix", "interp")
+def _det(method: str, u: Multivector) -> Scalar:
+    det = METHODS[method].det(u)
+    _require_finite((det,))
+    return det
+
+
+def _charpoly(method: str, u: Multivector) -> CharPoly:
+    cp = METHODS[method].charpoly(u)
+    _require_finite(cp.coeffs)
+    return cp
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +273,7 @@ def _cmd_det(args) -> int:
     payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
                "method": args.method}
     if args.method == "all":
-        dets = {m: _det_by_method(m, u) for m in _DET_METHODS}
+        dets = {m: _det(m, u) for m in METHODS}
         consistent = _values_agree(list(dets.values()), u.is_float)
         payload["det"] = _json_value(dets["fl"])
         payload["dets"] = {m: _json_value(v) for m, v in dets.items()}
@@ -267,7 +282,7 @@ def _cmd_det(args) -> int:
         lines.append(f"consistent: {str(consistent).lower()}")
         _emit(args, payload, lines)
         return 0 if consistent else 5
-    det = _det_by_method(args.method, u)
+    det = _det(args.method, u)
     payload["det"] = _json_value(det)
     _emit(args, payload, [str(det)])
     return 0
@@ -278,16 +293,10 @@ def _cmd_charpoly(args) -> int:
     payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
                "method": args.method}
     if args.method == "all":
-        cps = {m: _charpoly_by_method(m, u) for m in _CHARPOLY_METHODS}
-        values = [cp.coeffs for cp in cps.values()]
-        if u.is_float:
-            consistent = all(
-                all(_close_scalars(a, b) for a, b in zip(values[0], v))
-                for v in values[1:]
-            )
-        else:
-            consistent = all(values[0] == v for v in values[1:])
+        cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
         cp = cps["fl"]
+        consistent = all(_charpolys_agree(cp, other, u.is_float)
+                         for other in cps.values())
         payload["coefficients"] = [_json_value(c) for c in cp.coeffs]
         payload["det"] = _json_value(cp.det)
         payload["consistent"] = consistent
@@ -295,12 +304,12 @@ def _cmd_charpoly(args) -> int:
                  f"det: {cp.det}", f"consistent: {str(consistent).lower()}"]
         _emit(args, payload, lines)
         return 0 if consistent else 5
-    if args.method in ("closed-triangle", "closed-bar"):
+    if METHODS[args.method].charpoly is None:
         raise ParseError(
             f"method {args.method!r} computes only the determinant; "
             f"use vieta-{args.method.split('-')[1]} for coefficients"
         )
-    cp = _charpoly_by_method(args.method, u)
+    cp = _charpoly(args.method, u)
     payload["coefficients"] = [_json_value(c) for c in cp.coeffs]
     payload["det"] = _json_value(cp.det)
     _emit(args, payload, [f"C = [{', '.join(str(c) for c in cp.coeffs)}]",
@@ -313,6 +322,7 @@ def _cmd_inverse(args) -> int:
     inv = inverse(u)
     adj = adjugate(u)
     det = det_fl(u)
+    _require_finite((det, *adj.coeffs, *inv.coeffs))
     payload = {
         "signature": [args.sig.p, args.sig.q], "input": args.expression,
         "method": "fl", "det": _json_value(det),
@@ -368,27 +378,20 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)
     float_backend = args.backend == "float"
     failures = []
-    det_methods = list(_DET_METHODS) + [
+    det_methods = list(METHODS) + [
         f"closed:{f.family}/{f.variant}" for f in available_formulas(sig.n)
     ]
     for trial in range(args.trials):
         u = random_multivector(sig, rng, float_backend=float_backend)
-        dets = {}
-        for m in _DET_METHODS:
-            dets[m] = _det_by_method(m, u)
+        dets = {m: _det(m, u) for m in METHODS}
         for f in available_formulas(sig.n):
             dets[f"closed:{f.family}/{f.variant}"] = evaluate_det(f, u)
         if not _values_agree(list(dets.values()), float_backend):
             failures.append({"trial": trial, "kind": "det",
                              "values": {m: _json_value(v) for m, v in dets.items()}})
-        cps = {m: _charpoly_by_method(m, u).coeffs for m in _CHARPOLY_METHODS}
-        reference = cps["fl"]
-        for m, coeffs in cps.items():
-            if float_backend:
-                ok = all(_close_scalars(a, b) for a, b in zip(reference, coeffs))
-            else:
-                ok = reference == coeffs
-            if not ok:
+        cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
+        for m, cp in cps.items():
+            if not _charpolys_agree(cps["fl"], cp, float_backend):
                 failures.append({"trial": trial, "kind": "charpoly", "method": m})
     consistent = not failures
     payload = {
@@ -411,10 +414,10 @@ def _cmd_bench(args) -> int:
     batch = [random_multivector(sig, rng, float_backend=float_backend)
              for _ in range(args.trials)]
     results = {}
-    for method in _DET_METHODS:
+    for method in METHODS:
         start = time.perf_counter()
         for u in batch:
-            _det_by_method(method, u)
+            _det(method, u)
         elapsed = time.perf_counter() - start
         results[method] = elapsed / len(batch) * 1e3
     payload = {
@@ -492,12 +495,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("det", help="determinant of a multivector")
     _add_common(p)
-    p.add_argument("--method", choices=METHODS, default="fl")
+    p.add_argument("--method", choices=(*METHODS, "all"), default="fl")
     p.set_defaults(handler=_cmd_det)
 
     p = subs.add_parser("charpoly", help="characteristic coefficients C1..CN")
     _add_common(p)
-    p.add_argument("--method", choices=METHODS, default="fl")
+    p.add_argument("--method", choices=(*METHODS, "all"), default="fl")
     p.set_defaults(handler=_cmd_charpoly)
 
     p = subs.add_parser("inverse", help="inverse and adjugate")

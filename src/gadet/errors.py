@@ -46,5 +46,11 @@ class ConsistencyError(GadetError):
     is not, or independent computation routes disagree."""
 
 
+class FloatRangeError(GadetError):
+    """A value lies outside the double-precision range: a float-backend
+    result overflowed to inf or became nan, or an exact value is too large
+    to convert to float."""
+
+
 class NonConvergenceError(GadetError):
     """The eigenvalue iteration did not converge within its cap."""

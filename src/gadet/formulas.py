@@ -18,6 +18,7 @@ term-tree format (see ``formula_to_json``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -32,7 +33,7 @@ from .algebra import (
     charpoly_degree,
     delta,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, FloatRangeError
 
 FAMILIES = ("triangle", "bar", "bar_tilde", "bar_tilde_hat")
 
@@ -310,6 +311,10 @@ def evaluate_terms(
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:
     if not mv.is_scalar():
+        if mv.is_float and not all(map(math.isfinite, mv.coeffs)):
+            raise FloatRangeError(
+                f"{context} left the float range (inf or nan coefficients)"
+            )
         raise ConsistencyError(
             f"{context} produced a non-scalar result: {mv}"
         )

@@ -19,6 +19,7 @@ it cross-checks.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import mul
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .algebra import Multivector, Scalar, Signature, common_denominator, exact_ratio
 from .charpoly import CharPoly
-from .errors import ConsistencyError, NonConvergenceError
+from .errors import ConsistencyError, FloatRangeError, NonConvergenceError
 
 #: Float-backend tolerance for "this value must be real" checks.
 REAL_TOL = 1e-8
@@ -313,11 +314,17 @@ def eigenvalues(u: Multivector) -> tuple[complex, ...]:
     of the characteristic polynomial; sorted by (real, imaginary).
 
     Elementary symmetric polynomials of the result must reconstruct the C(k)
-    within relative 1e-8 or ConsistencyError is raised.
+    within relative 1e-8 or ConsistencyError is raised.  A C(k) outside the
+    float range raises FloatRangeError.
     """
     cp = charpoly_matrix(u)
     N = u.sig.N
-    coeffs = [float(c) for c in cp.coeffs]
+    try:
+        coeffs = [float(c) for c in cp.coeffs]
+    except OverflowError:
+        coeffs = None
+    if coeffs is None or not all(map(math.isfinite, coeffs)):
+        raise FloatRangeError("a characteristic coefficient is outside the float range")
     # The C(k) are real, so the companion is a real matrix; the real-path
     # eigensolver resolves 2x2 blocks analytically (exact double roots).
     companion = np.zeros((N, N), dtype=np.float64)

@@ -4,7 +4,14 @@ Numbering the N occurrences of U in a determinant formula left to right turns
 it into an N-variable function F.  Summing F over every tuple with k slots
 holding U and N-k slots holding the identity e, with sign (-1)**(k+1), yields
 C(k) -- the same coefficients the trace recursion produces, but derived from
-the highest coefficient downward.  The module also provides the ordered
+the highest coefficient downward.
+
+One evaluator computes these sums: it walks each term tree once and keeps,
+per subtree, the sum of its values over all assignments with i slots holding
+U, for every i (graded sums).  A product node convolves its children's
+graded sums, so every X(k) comes out of a single bottom-up pass instead of
+binom(N, k) separate tuple evaluations.  C(N) is the single all-U tuple and
+is evaluated directly.  The module also provides the ordered
 solution-set construction (x_k, v_k, y_k) for n <= 3 and the closed-form
 eigenvalue comparison for n <= 2.
 """
@@ -53,67 +60,19 @@ def f_function(n: int, family: str = "triangle", variant: str = "standard") -> F
                      formula.arity, formula.terms)
 
 
-def subset_masks(N: int, k: int) -> tuple[int, ...]:
-    """All N-bit masks with popcount k (bit i-1 set: slot i holds U)."""
-    return tuple(m for m in range(1 << N) if m.bit_count() == k)
-
-
 # ---------------------------------------------------------------------------
-# shared-subtree evaluation of F over every e/U slot assignment
-
-
-def _subset_table(node, u: Multivector, e: Multivector):
-    """Evaluate a subtree for every assignment of e/u to its slots.
-
-    Returns (lo, width, table): the subtree covers slots lo+1..lo+width and
-    table maps each width-bit mask (bit i: slot lo+1+i holds u) to the
-    subtree's value.  Sharing these tables across tuples turns the 2**N-tuple
-    enumeration into one bottom-up pass.
-    """
-    if isinstance(node, Slot):
-        return node.index - 1, 1, {0: e, 1: u}
-    if isinstance(node, Conj):
-        lo, width, table = _subset_table(node.child, u, e)
-        return lo, width, {m: v.conjugate(node.conj) for m, v in table.items()}
-    lo, width, table = _subset_table(node.factors[0], u, e)
-    for factor in node.factors[1:]:
-        f_lo, f_width, f_table = _subset_table(factor, u, e)
-        if f_lo != lo + width:
-            raise ConsistencyError("term slots are not numbered left to right")
-        combined = {}
-        for ma, va in table.items():
-            for mb, vb in f_table.items():
-                if ma == 0:
-                    value = vb
-                elif mb == 0:
-                    value = va
-                else:
-                    value = va * vb
-                combined[ma | (mb << width)] = value
-        width += f_width
-        table = combined
-    return lo, width, table
-
-
-def _term_tables(f: FFunction, u: Multivector):
-    e = u.sig.identity
-    tables = []
-    for term in f.terms:
-        lo, width, table = _subset_table(term.tree, u, e)
-        if lo != 0 or width != f.arity:
-            raise ConsistencyError("term does not cover slots 1..N")
-        tables.append((term.weight, table))
-    return tables
+# graded-sum evaluation of F over every e/U slot assignment
 
 
 def _graded_sums(node, u: Multivector, e: Multivector):
     """Per-weight sums of a subtree over its slot assignments.
 
-    Returns (lo, width, sums) with sums[i] equal to the sum of the subtree's
-    values over all masks of weight i.  Because the geometric product is
-    bilinear, a product node's sums are the convolution of its children's
-    sums; this accumulates exactly the same tuple sums as the full
-    enumeration, just reassociated, at far fewer products.
+    Returns (lo, width, sums): the subtree covers slots lo+1..lo+width and
+    sums[i] is the sum of its values over all assignments with i slots
+    holding u.  Because the geometric product is bilinear, a product node's
+    sums are the convolution of its children's sums; this accumulates exactly
+    the same tuple sums as enumerating the 2**N assignments one by one, just
+    reassociated, at far fewer products.
     """
     if isinstance(node, Slot):
         return node.index - 1, 1, [e, u]
@@ -141,58 +100,9 @@ def _graded_sums(node, u: Multivector, e: Multivector):
     return lo, width, sums
 
 
-def _coefficient_from_tables(f, u, tables, k, order=None) -> Scalar:
-    N = f.arity
-    masks = subset_masks(N, k)
-    if order is not None:
-        order = tuple(order)
-        if sorted(order) != list(masks):
-            raise ValueError(f"order is not a permutation of the k={k} masks")
-        masks = order
-    total = None
-    for weight, table in tables:
-        part = None
-        for mask in masks:
-            value = table[mask]
-            part = value if part is None else part + value
-        part = part * weight
-        total = part if total is None else total + part
-    scalar = _require_scalar(
-        total, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
-    )
-    return scalar if k % 2 == 1 else -scalar
-
-
-def vieta_coefficient(f: FFunction, u: Multivector, k: int, order=None) -> Scalar:
-    """C(k) = (-1)**(k+1) * sum of F over all tuples with k slots equal to u.
-
-    ``order`` optionally fixes the enumeration order of the binom(N, k) slot
-    masks; the sum is order-independent.  The summed multivector must be
-    scalar (all grades >= 1 vanish) or ConsistencyError is raised.
-    """
-    if u.sig.n != f.n:
-        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must be in 1..{f.arity}, got {k}")
-    if k == f.arity and order is None:
-        # X(N) is the single all-U tuple.
-        value = f.evaluate((u,) * f.arity)
-        scalar = _require_scalar(
-            value, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
-        )
-        return scalar if k % 2 == 1 else -scalar
-    return _coefficient_from_tables(f, u, _term_tables(f, u), k, order)
-
-
-def vieta_all(f: FFunction, u: Multivector) -> CharPoly:
-    """All C(1)..C(N) at once; equals fl_coefficients(u) exactly.
-
-    Accumulates the X(k) sums bottom-up per subtree weight instead of tuple
-    by tuple (see _graded_sums); every X(k) sum still passes through the
-    scalarity assertion.
-    """
-    if u.sig.n != f.n:
-        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
+def _x_sums(f: FFunction, u: Multivector) -> list:
+    """[None, X(1), ..., X(N)]: the weighted sums of F over every tuple with
+    k slots holding u, for each k."""
     e = u.sig.identity
     N = f.arity
     totals = [None] * (N + 1)
@@ -203,13 +113,44 @@ def vieta_all(f: FFunction, u: Multivector) -> CharPoly:
         for k in range(1, N + 1):
             part = sums[k] * term.weight
             totals[k] = part if totals[k] is None else totals[k] + part
-    coeffs = []
-    for k in range(1, N + 1):
-        scalar = _require_scalar(
-            totals[k], f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
-        )
-        coeffs.append(scalar if k % 2 == 1 else -scalar)
-    return CharPoly(u.sig, tuple(coeffs))
+    return totals
+
+
+def _coefficient(f: FFunction, k: int, x_k: Multivector) -> Scalar:
+    """C(k) = (-1)**(k+1) * X(k), once X(k) is shown to be scalar."""
+    scalar = _require_scalar(
+        x_k, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
+    )
+    return scalar if k % 2 == 1 else -scalar
+
+
+def vieta_coefficient(f: FFunction, u: Multivector, k: int) -> Scalar:
+    """C(k) = (-1)**(k+1) * sum of F over all tuples with k slots equal to u.
+
+    The summed multivector X(k) must be scalar (all grades >= 1 vanish) or
+    ConsistencyError is raised.
+    """
+    if u.sig.n != f.n:
+        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
+    if not 1 <= k <= f.arity:
+        raise ValueError(f"k must be in 1..{f.arity}, got {k}")
+    if k == f.arity:
+        # X(N) is the single all-U tuple.
+        return _coefficient(f, k, f.evaluate((u,) * f.arity))
+    return _coefficient(f, k, _x_sums(f, u)[k])
+
+
+def vieta_all(f: FFunction, u: Multivector) -> CharPoly:
+    """All C(1)..C(N) at once; equals fl_coefficients(u) exactly.
+
+    Every X(k) sum passes through the scalarity assertion.
+    """
+    if u.sig.n != f.n:
+        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
+    totals = _x_sums(f, u)
+    return CharPoly(u.sig, tuple(
+        _coefficient(f, k, totals[k]) for k in range(1, f.arity + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------

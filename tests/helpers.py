@@ -13,3 +13,27 @@ def random_mvs(sig: Signature, count: int, seed: int, *, float_backend=False):
     r = random.Random(seed * 1000 + sig.p * 10 + sig.q)
     return [random_multivector(sig, r, float_backend=float_backend)
             for _ in range(count)]
+
+
+def subset_masks(N: int, k: int) -> tuple[int, ...]:
+    """All N-bit masks with popcount k (bit i-1 set: slot i holds U)."""
+    return tuple(m for m in range(1 << N) if m.bit_count() == k)
+
+
+def vieta_by_masks(f, u, k: int, rng: random.Random | None = None):
+    """Reference C(k) by the literal definition: (-1)**(k+1) times the sum of
+    F over every tuple with k slots holding u and the rest holding e, one
+    tuple at a time.  ``rng`` shuffles the order the tuples are summed in.
+    """
+    e = u.sig.identity
+    masks = list(subset_masks(f.arity, k))
+    if rng is not None:
+        rng.shuffle(masks)
+    total = u.sig.zero
+    for mask in masks:
+        total = total + f.evaluate(
+            u if mask >> i & 1 else e for i in range(f.arity)
+        )
+    assert total.is_scalar(), f"X({k}) is not scalar: {total}"
+    scalar = total.scalar_part()
+    return scalar if k % 2 == 1 else -scalar

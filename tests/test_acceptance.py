@@ -102,8 +102,8 @@ def test_criterion_03_generalized_vieta_equality():
             if charpoly_interp(u) != reference:
                 failures.append((sig, trial, "interp"))
             for f in families:
-                # vieta_coefficient's scalarity assertion runs on every X(k)
-                # sum; a violation raises rather than returning a value.
+                # vieta_all's scalarity assertion runs on every X(k) sum; a
+                # violation raises rather than returning a value.
                 if vieta_all(f, u) != reference:
                     failures.append((sig, trial, f.family))
     _report(3, "vieta_all == fl_coefficients == charpoly_interp exactly, "

@@ -111,10 +111,10 @@ def test_det_all_methods_json(capsys):
     assert payload["signature"] == [2, 0]
     assert payload["det"] == 25
     assert payload["consistent"] is True
-    assert set(payload["dets"]) == {
+    assert list(payload["dets"]) == [
         "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
         "matrix", "interp",
-    }
+    ]
 
 
 def test_charpoly_example(capsys):
@@ -136,10 +136,12 @@ def test_charpoly_json_schema(capsys):
 
 
 def test_charpoly_rejects_det_only_method(capsys):
-    code, _, err = run(capsys, "charpoly", "--sig", "2,0", "--method",
-                       "closed-triangle", "1")
-    assert code == 2
-    assert "vieta" in err
+    for family in ("triangle", "bar"):
+        code, _, err = run(capsys, "charpoly", "--sig", "2,0", "--method",
+                           f"closed-{family}", "1")
+        assert code == 2
+        assert err == (f"error: method 'closed-{family}' computes only the "
+                       f"determinant; use vieta-{family} for coefficients\n")
 
 
 def test_fractional_det_json_string(capsys):
@@ -186,6 +188,11 @@ def test_check_command_json_float(capsys):
     assert payload["consistent"] is True
     assert payload["failures"] == []
     assert payload["trials"] == 5
+    assert payload["methods"] == [
+        "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
+        "matrix", "interp", "closed:bar/standard", "closed:triangle/standard",
+        "fl", "vieta-triangle", "vieta-bar", "matrix", "interp",
+    ]
 
 
 def test_bench_command(capsys):
@@ -193,10 +200,10 @@ def test_bench_command(capsys):
                        "--format", "json")
     payload = json.loads(out)
     assert code == 0
-    assert set(payload["ms_per_det"]) == {
+    assert list(payload["ms_per_det"]) == [
         "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
         "matrix", "interp",
-    }
+    ]
     assert all(v >= 0 for v in payload["ms_per_det"].values())
 
 
@@ -246,6 +253,28 @@ def test_float_overflow_is_a_parse_error(capsys):
     code, _, err = run(capsys, "det", "--sig", "1,0", "--backend", "float", "1e+400")
     assert code == 2
     assert "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("det", "--sig", "2,0", "--backend", "float", "--method", "matrix"),
+    ("inverse", "--sig", "2,0", "--backend", "float"),
+    ("det", "--sig", "6,0", "--backend", "float", "--method", "all"),
+    # nan in a non-scalar closed-form sum is reported as overflow, not as
+    # a broken formula
+    ("det", "--sig", "6,0", "--backend", "float", "--method", "closed-triangle"),
+    ("eigen", "--sig", "1,0", "--backend", "float"),
+], ids=lambda argv: "-".join(argv[::2]))
+def test_float_range_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "1e+200 + e1")
+    assert code == 1
+    assert out == ""
+    assert "float" in err and "range" in err
+
+
+def test_exact_eigen_overflow_is_a_range_error(capsys):
+    code, _, err = run(capsys, "eigen", "--sig", "1,0", "1e+400")
+    assert code == 1
+    assert "outside the float range" in err
 
 
 @pytest.mark.parametrize("command", ["bench", "check"])

@@ -21,11 +21,10 @@ from gadet import (
     fl_coefficients,
     gelfand_retakh_ys,
     random_multivector,
-    subset_masks,
     vieta_all,
     vieta_coefficient,
 )
-from helpers import SIGNATURES, random_mvs
+from helpers import SIGNATURES, random_mvs, subset_masks, vieta_by_masks
 
 
 def test_f_function_bodies_on_distinct_arguments():
@@ -105,27 +104,27 @@ def test_vieta_all_matches_fl_both_families():
 
 
 def test_vieta_all_matches_per_k_enumeration():
-    # vieta_all accumulates the X(k) sums per subtree weight; the literal
-    # tuple-by-tuple route must give the same rationals.
+    # vieta_all and vieta_coefficient accumulate the X(k) sums per subtree
+    # weight; the literal tuple-by-tuple oracle must give the same rationals.
+    rng = random.Random(59)
     for sig in [Signature(2, 0), Signature(3, 1), Signature(0, 4)]:
         u = random_mvs(sig, 1, 59)[0]
         for family in ("triangle", default_bar_family(sig.n)):
             f = f_function(sig.n, family)
-            per_k = tuple(
-                vieta_coefficient(f, u, k) for k in range(1, f.arity + 1)
-            )
+            ks = range(1, f.arity + 1)
+            per_k = tuple(vieta_by_masks(f, u, k, rng) for k in ks)
             assert per_k == vieta_all(f, u).coeffs
+            assert per_k == tuple(vieta_coefficient(f, u, k) for k in ks)
 
 
 def test_enumeration_order_is_irrelevant():
     s = Signature(2, 1)
     u = random_mvs(s, 1, 57)[0]
     f = f_function(3)
-    masks = list(subset_masks(4, 2))
-    random.Random(0).shuffle(masks)
-    assert vieta_coefficient(f, u, 2, order=masks) == vieta_coefficient(f, u, 2)
-    with pytest.raises(ValueError):
-        vieta_coefficient(f, u, 2, order=masks[:-1])
+    expected = vieta_by_masks(f, u, 2)
+    assert expected == vieta_coefficient(f, u, 2)
+    for seed in range(3):
+        assert vieta_by_masks(f, u, 2, random.Random(seed)) == expected
 
 
 def test_vieta_rejects_bad_k_and_dimension():
