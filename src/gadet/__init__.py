@@ -14,6 +14,7 @@ from .algebra import (
     Signature,
     all_signatures,
     charpoly_degree,
+    close,
     conjugate,
     delta,
     geometric_product,

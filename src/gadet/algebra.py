@@ -8,13 +8,16 @@ Coefficients come in two backends:
 
 * exact -- ``int`` / ``fractions.Fraction`` (default; identities verify to
   literal zero),
-* float -- ``float``, with tolerance-based equality (relative 1e-9,
-  absolute 1e-12).
+* float -- ``float``, with tolerance-based equality.
 
 A value containing any float coefficient is float-backed; mixing an exact
 multivector with a float one follows normal numeric coercion and yields a
 float result.  All values are immutable and every operation is a pure
 function of its inputs.
+
+Every float tolerance of the package is defined here.  :func:`close` is the
+one scalar agreement rule; multivector and characteristic-polynomial
+equality apply it coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ from operator import itemgetter
 from operator import mul as _operator_mul
 from typing import Iterable, Union
 
-from .errors import SignatureMismatchError
+from .errors import FloatRangeError, SignatureMismatchError
 
 Scalar = Union[int, Fraction, float]
 
-#: Equality tolerances for the float backend.
+#: Relative and absolute bounds of :func:`close`, the float agreement rule.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+#: Imaginary part of a float matrix-oracle value that must be real, over max(1, |real|).
+REAL_TOL = 1e-8
+#: Relative error of each C(k) rebuilt from the eigenvalues (``eigenvalues``).
+EIGEN_RECON_TOL = 1e-8
+#: Relative and absolute error of the n <= 2 closed-form eigenvalues' sum and product.
+EIGEN_COMPARE_TOL = 1e-9
 
 _MIN_N = 1
 _MAX_N = 6
@@ -272,8 +281,12 @@ def exact_ratio(num, den):
     return f.numerator if f.denominator == 1 else f
 
 
-def _close(x, y) -> bool:
-    return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+def close(x: Scalar, y: Scalar) -> bool:
+    """Whether two scalars agree: literally when both are exact, within
+    REL_TOL/ABS_TOL when either is a float."""
+    if isinstance(x, float) or isinstance(y, float):
+        return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+    return x == y
 
 
 class Multivector:
@@ -376,7 +389,7 @@ class Multivector:
 
     def is_zero(self) -> bool:
         if self._float:
-            return all(_close(c, 0.0) for c in self.coeffs)
+            return all(close(c, 0.0) for c in self.coeffs)
         return not any(self.coeffs)
 
     def is_scalar(self) -> bool:
@@ -542,7 +555,7 @@ class Multivector:
             return NotImplemented
         self._check_sig(other)
         if self._float or other._float:
-            return all(map(_close, self.coeffs, other.coeffs))
+            return all(map(close, self.coeffs, other.coeffs))
         return self.coeffs == other.coeffs
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
@@ -557,9 +570,13 @@ class Multivector:
         )
 
     def to_exact(self) -> "Multivector":
-        """Exact-backend copy; floats convert to their exact binary value."""
+        """Exact-backend copy; floats convert to their exact binary value.
+        An inf or nan coefficient has none and raises FloatRangeError."""
         if not self._float:
             return self
+        if not all(map(math.isfinite, self.coeffs)):
+            raise FloatRangeError("a float coefficient is outside the double "
+                                  "range (inf or nan) and has no exact value")
         return Multivector(self.sig, (Fraction(c) for c in self.coeffs))
 
     def __str__(self) -> str:

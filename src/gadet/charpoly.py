@@ -19,16 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import ABS_TOL, REL_TOL, Multivector, Scalar, Signature, exact_ratio
-from .errors import ConsistencyError, NotInvertibleError
-
-#: Float-backend bound on |leading coefficient - 1| in charpoly_interp.
-INTERP_LEADING_TOL = 1e-6
+from .algebra import Multivector, Scalar, Signature, close, exact_ratio
+from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharPoly:
-    """Ordered coefficients C1..CN of phi_U."""
+    """Ordered coefficients C1..CN of phi_U.  Equality is Multivector's:
+    :func:`gadet.algebra.close` on each coefficient."""
 
     sig: Signature
     coeffs: tuple[Scalar, ...]
@@ -65,14 +63,23 @@ class CharPoly:
             result = result * x - c
         return result
 
-    def isclose(self, other: "CharPoly", rel_tol: float = REL_TOL,
-                abs_tol: float = ABS_TOL) -> bool:
-        if other.sig is not self.sig:
-            return False
-        return all(
-            math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-            for a, b in zip(self.coeffs, other.coeffs)
-        )
+    def to_float(self) -> "CharPoly":
+        """Float copy; FloatRangeError when a coefficient is outside the
+        double range."""
+        try:
+            coeffs = tuple(float(c) for c in self.coeffs)
+            if all(map(math.isfinite, coeffs)):
+                return CharPoly(self.sig, coeffs)
+        except OverflowError:
+            pass
+        raise FloatRangeError("a characteristic coefficient is outside the float range")
+
+    def __eq__(self, other):
+        if not isinstance(other, CharPoly):
+            return NotImplemented
+        return other.sig is self.sig and all(map(close, self.coeffs, other.coeffs))
+
+    __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
 def _fl_run(u: Multivector):
@@ -128,17 +135,12 @@ def inverse(u: Multivector) -> Multivector:
 
 def _newton_interpolate(nodes: Sequence, values: Sequence):
     """Coefficients (ascending powers) of the polynomial through the nodes,
-    by divided differences.  Exact for exact inputs."""
+    by exact divided differences."""
     table = list(values)
     npts = len(nodes)
     for level in range(1, npts):
         for i in range(npts - 1, level - 1, -1):
-            num = table[i] - table[i - 1]
-            den = nodes[i] - nodes[i - level]
-            if isinstance(num, float) or isinstance(den, float):
-                table[i] = num / den
-            else:
-                table[i] = exact_ratio(num, den)
+            table[i] = exact_ratio(table[i] - table[i - 1], nodes[i] - nodes[i - level])
     # Expand the Newton form into monomial coefficients.
     poly = [table[npts - 1]]
     for i in range(npts - 2, -1, -1):
@@ -160,29 +162,25 @@ def charpoly_interp(
     integer nodes x = 0..N and reconstructing the polynomial exactly.
 
     ``det_fn`` selects the determinant method (default: ``det_fl``); the
-    result must match ``fl_coefficients(u)``.
+    result must match ``fl_coefficients(u)``.  A float input is taken at the
+    exact binary value of its coefficients, so ``det_fn`` always receives
+    exact multivectors and each C(k) is rounded to float once, at the end.
+    An inf or nan input coefficient, or a C(k) outside the double range,
+    raises FloatRangeError.
     """
     if det_fn is None:
         det_fn = det_fl
     sig = u.sig
     N = sig.N
     e = sig.identity
-    if u.is_float:
-        nodes = [float(k) for k in range(N + 1)]
-    else:
-        nodes = list(range(N + 1))
-    values = [det_fn(e._scale(x) - u) for x in nodes]
+    exact = u.to_exact()
+    nodes = list(range(N + 1))
+    values = [det_fn(e._scale(x) - exact) for x in nodes]
     poly = _newton_interpolate(nodes, values)
     lead = poly[N]
-    if u.is_float:
-        if abs(lead - 1.0) > INTERP_LEADING_TOL:
-            raise ConsistencyError(
-                f"interpolated polynomial is ill-conditioned: leading "
-                f"coefficient {lead!r} deviates from 1"
-            )
-    elif lead != 1:
+    if lead != 1:
         raise ConsistencyError(
             f"interpolated polynomial is not monic (leading coefficient {lead})"
         )
-    coeffs = tuple(-poly[N - k] for k in range(1, N + 1))
-    return CharPoly(sig, coeffs)
+    cp = CharPoly(sig, tuple(-poly[N - k] for k in range(1, N + 1)))
+    return cp.to_float() if u.is_float else cp

@@ -28,14 +28,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra import (
-    ABS_TOL,
-    REL_TOL,
-    Multivector,
-    Scalar,
-    Signature,
-    random_multivector,
-)
+from .algebra import Multivector, Scalar, Signature, close, random_multivector
 from .charpoly import (CharPoly, adjugate, charpoly_interp, det_fl,
                        fl_coefficients, inverse)
 from .errors import (
@@ -181,16 +174,8 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _values_agree(values, float_backend: bool) -> bool:
-    first = values[0]
-    if float_backend:
-        return all(math.isclose(first, v, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-                   for v in values[1:])
-    return all(first == v for v in values[1:])
-
-
-def _charpolys_agree(a: CharPoly, b: CharPoly, float_backend: bool) -> bool:
-    return a.isclose(b) if float_backend else a == b
+def _values_agree(values) -> bool:
+    return all(close(values[0], v) for v in values[1:])
 
 
 def _require_finite(values) -> None:
@@ -274,7 +259,7 @@ def _cmd_det(args) -> int:
                "method": args.method}
     if args.method == "all":
         dets = {m: _det(m, u) for m in METHODS}
-        consistent = _values_agree(list(dets.values()), u.is_float)
+        consistent = _values_agree(list(dets.values()))
         payload["det"] = _json_value(dets["fl"])
         payload["dets"] = {m: _json_value(v) for m, v in dets.items()}
         payload["consistent"] = consistent
@@ -295,8 +280,7 @@ def _cmd_charpoly(args) -> int:
     if args.method == "all":
         cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
         cp = cps["fl"]
-        consistent = all(_charpolys_agree(cp, other, u.is_float)
-                         for other in cps.values())
+        consistent = all(cp == other for other in cps.values())
         payload["coefficients"] = [_json_value(c) for c in cp.coeffs]
         payload["det"] = _json_value(cp.det)
         payload["consistent"] = consistent
@@ -386,12 +370,12 @@ def _cmd_check(args) -> int:
         dets = {m: _det(m, u) for m in METHODS}
         for f in available_formulas(sig.n):
             dets[f"closed:{f.family}/{f.variant}"] = evaluate_det(f, u)
-        if not _values_agree(list(dets.values()), float_backend):
+        if not _values_agree(list(dets.values())):
             failures.append({"trial": trial, "kind": "det",
                              "values": {m: _json_value(v) for m, v in dets.items()}})
         cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
         for m, cp in cps.items():
-            if not _charpolys_agree(cps["fl"], cp, float_backend):
+            if cp != cps["fl"]:
                 failures.append({"trial": trial, "kind": "charpoly", "method": m})
     consistent = not failures
     payload = {

@@ -19,20 +19,15 @@ it cross-checks.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from operator import mul
 
 import numpy as np
 
-from .algebra import Multivector, Scalar, Signature, common_denominator, exact_ratio
+from .algebra import (EIGEN_RECON_TOL, REAL_TOL, Multivector, Scalar, Signature,
+                      common_denominator, exact_ratio)
 from .charpoly import CharPoly
-from .errors import ConsistencyError, FloatRangeError, NonConvergenceError
-
-#: Float-backend tolerance for "this value must be real" checks.
-REAL_TOL = 1e-8
-#: Relative tolerance for the eigenvalue Vieta reconstruction check.
-EIGEN_RECON_TOL = 1e-8
+from .errors import ConsistencyError, NonConvergenceError
 
 # A monomial matrix (cols, phases): row r holds i**phases[r] in column cols[r].
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -265,7 +260,9 @@ def det_matrix(u: Multivector) -> Scalar:
     """Det(u) = det(beta(u)); exact Gaussian-integer Bareiss or float LU."""
     mat = represent(u)
     if u.is_float:
-        det = complex(np.linalg.det(_to_numpy(mat)))
+        # Overflow gives inf or nan; the caller's finite check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = complex(np.linalg.det(_to_numpy(mat)))
         return _require_real_float(det, "det(beta(u))")
     den, re, im = _scaled_ints(u, mat)
     det_r, det_i = _det_bareiss(re, im)
@@ -283,12 +280,13 @@ def charpoly_matrix(u: Multivector) -> CharPoly:
     if u.is_float:
         m = _to_numpy(mat)
         mk = m
-        for k in range(1, N + 1):
-            t = complex(np.trace(mk))
-            ck = _require_real_float(t, f"trace of step-{k} matrix") / k
-            coeffs.append(ck)
-            if k < N:
-                mk = m @ (mk - ck * np.eye(N))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, N + 1):
+                t = complex(np.trace(mk))
+                ck = _require_real_float(t, f"trace of step-{k} matrix") / k
+                coeffs.append(ck)
+                if k < N:
+                    mk = m @ (mk - ck * np.eye(N))
         return CharPoly(sig, tuple(coeffs))
     # On M = D*beta(u) the recursion stays in Gaussian integers, and its
     # coefficients are D**k times those of beta(u).
@@ -314,17 +312,11 @@ def eigenvalues(u: Multivector) -> tuple[complex, ...]:
     of the characteristic polynomial; sorted by (real, imaginary).
 
     Elementary symmetric polynomials of the result must reconstruct the C(k)
-    within relative 1e-8 or ConsistencyError is raised.  A C(k) outside the
-    float range raises FloatRangeError.
+    within relative EIGEN_RECON_TOL or ConsistencyError is raised.  A C(k)
+    outside the float range raises FloatRangeError.
     """
-    cp = charpoly_matrix(u)
+    coeffs = charpoly_matrix(u).to_float().coeffs
     N = u.sig.N
-    try:
-        coeffs = [float(c) for c in cp.coeffs]
-    except OverflowError:
-        coeffs = None
-    if coeffs is None or not all(map(math.isfinite, coeffs)):
-        raise FloatRangeError("a characteristic coefficient is outside the float range")
     # The C(k) are real, so the companion is a real matrix; the real-path
     # eigensolver resolves 2x2 blocks analytically (exact double roots).
     companion = np.zeros((N, N), dtype=np.float64)

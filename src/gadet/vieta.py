@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Multivector, Scalar
+from .algebra import EIGEN_COMPARE_TOL, Multivector, Scalar
 from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
 from .errors import ConsistencyError, NotGenericError
 from .formulas import (
@@ -267,8 +267,10 @@ def eigen_compare(u: Multivector) -> EigenComparison:
     cp = fl_coefficients(uf)
     lam_sum = lambdas[0] + lambdas[1]
     lam_prod = lambdas[0] * lambdas[1]
-    sum_matches = cmath.isclose(lam_sum, cp.coeffs[0], rel_tol=1e-9, abs_tol=1e-9)
-    product_matches = cmath.isclose(lam_prod, -cp.coeffs[1], rel_tol=1e-9, abs_tol=1e-9)
+    sum_matches = cmath.isclose(lam_sum, cp.coeffs[0], rel_tol=EIGEN_COMPARE_TOL,
+                                abs_tol=EIGEN_COMPARE_TOL)
+    product_matches = cmath.isclose(lam_prod, -cp.coeffs[1], rel_tol=EIGEN_COMPARE_TOL,
+                                    abs_tol=EIGEN_COMPARE_TOL)
     return EigenComparison(
         lambdas=lambdas,
         ys=ys,

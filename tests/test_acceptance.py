@@ -37,6 +37,7 @@ from gadet import (
     vieta_all,
     vieta_coefficient,
 )
+from gadet.cli import main
 
 SIGNATURES = all_signatures()
 
@@ -254,3 +255,18 @@ def test_criterion_10_formula_family_coincidences():
         failures.append("bar_tilde n=5 vs n=6")
     _report(10, "bar-family tables coincide for n=3/4; H-form tables "
                 "coincide for n=5/6 (structural equality)", failures)
+
+
+def test_criterion_11_float_backend_sweep():
+    failures = []
+    for sig in SIGNATURES:
+        code = main(["check", "--sig", f"{sig.p},{sig.q}", "--backend", "float",
+                     "--trials", "5"])
+        if code != 0:
+            failures.append((sig, code))
+    code = main(["bench", "--sig", "6,0", "--backend", "float", "--trials", "3"])
+    if code != 0:
+        failures.append(("bench 6,0", code))
+    _report(11, "every method agrees with fl within the float tolerances on "
+                "5 float draws per signature; float bench at G(6,0) runs",
+            failures)

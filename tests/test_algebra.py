@@ -14,6 +14,7 @@ from gadet import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    close,
     delta,
     random_multivector,
 )
@@ -216,6 +217,11 @@ def test_float_equality_tolerances():
     assert u == bumped
     off = Multivector(s, [c + 1e-6 for c in u.coeffs])
     assert not (u == off)
+    # The scalar rule behind it: tolerance when either side is a float,
+    # literal equality when both are exact.
+    assert close(1.0, 1.0 + 1e-10) and not close(1.0, 1.0 + 1e-8)
+    assert close(Fraction(1, 3), 1 / 3)
+    assert not close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
 
 
 def test_random_multivector_ranges():

@@ -10,6 +10,7 @@ import pytest
 from gadet import (
     CharPoly,
     ConsistencyError,
+    FloatRangeError,
     Multivector,
     NotInvertibleError,
     Signature,
@@ -20,6 +21,7 @@ from gadet import (
     fl_coefficients,
     inverse,
 )
+from gadet import charpoly, matrix_rep
 from helpers import SIGNATURES, random_mvs
 
 
@@ -159,14 +161,46 @@ def test_charpoly_interp_with_matrix_determinant():
 
 
 def test_charpoly_interp_float_backend():
-    for sig in [Signature(2, 0), Signature(3, 1)]:
+    for sig in [Signature(2, 0), Signature(3, 1), Signature(5, 0), Signature(3, 3)]:
         u = random_mvs(sig, 1, 29)[0]
-        exact = fl_coefficients(u)
+        expected = fl_coefficients(u).to_float()
         approx = charpoly_interp(u.to_float())
-        assert approx.isclose(
-            CharPoly(sig, tuple(float(c) for c in exact.coeffs)),
-            rel_tol=1e-6, abs_tol=1e-6,
-        )
+        assert approx == expected
+        # Interpolated exactly on the input's binary value, rounded once.
+        assert approx.coeffs == expected.coeffs
+
+
+def test_charpoly_interp_is_independent_of_fl_coefficients_and_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("charpoly_interp must not call this")
+
+    monkeypatch.setattr(charpoly, "fl_coefficients", forbidden)
+    monkeypatch.setattr(matrix_rep, "represent", forbidden)
+    u = random_mvs(Signature(3, 1), 1, 31)[0]
+    assert charpoly_interp(u.to_float()).coeffs == charpoly_interp(u).to_float().coeffs
+
+
+def test_charpoly_interp_float_range():
+    s = Signature(2, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(FloatRangeError):
+            charpoly_interp(Multivector(s, (1.0, bad, 0.0, 0.0)))
+    with pytest.raises(FloatRangeError):
+        charpoly_interp(Multivector(s, (1e200, 1.0, 0.0, 0.0)))
+
+
+def test_charpoly_equality_follows_multivector_rule():
+    s = Signature(1, 1)
+    exact = fl_coefficients(Multivector(s, (1, 2, 3, Fraction(1, 3))))
+    assert exact == CharPoly(s, exact.coeffs)
+    assert exact != CharPoly(s, (exact.coeffs[0] + Fraction(1, 10**30), exact.coeffs[1]))
+    approx = exact.to_float()
+    assert approx == CharPoly(s, tuple(c * (1 + 1e-12) for c in approx.coeffs))
+    assert approx != CharPoly(s, tuple(c * (1 + 1e-6) for c in approx.coeffs))
+    assert approx == exact
+    assert CharPoly(Signature(2, 0), approx.coeffs) != approx
+    with pytest.raises(TypeError):
+        hash(exact)
 
 
 def test_charpoly_interp_flags_bad_determinant_function():

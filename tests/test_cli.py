@@ -263,6 +263,8 @@ def test_float_overflow_is_a_parse_error(capsys):
     # a broken formula
     ("det", "--sig", "6,0", "--backend", "float", "--method", "closed-triangle"),
     ("eigen", "--sig", "1,0", "--backend", "float"),
+    # C(2) overflows when the exact result is rounded to float
+    ("charpoly", "--sig", "2,0", "--backend", "float", "--method", "interp"),
 ], ids=lambda argv: "-".join(argv[::2]))
 def test_float_range_error(capsys, argv):
     code, out, err = run(capsys, *argv, "1e+200 + e1")
