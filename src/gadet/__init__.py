@@ -15,13 +15,8 @@ from .algebra import (
     all_signatures,
     charpoly_degree,
     close,
-    conjugate,
     delta,
-    geometric_product,
-    grade_projection,
     random_multivector,
-    scalar_part,
-    trace,
 )
 from .charpoly import (
     CharPoly,
@@ -62,7 +57,6 @@ from .matrix_rep import (
 )
 from .vieta import (
     EigenComparison,
-    FFunction,
     GelfandRetakhSet,
     coefficients_from_roots,
     eigen_compare,

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from operator import mul as _operator_mul
 from typing import Iterable, Union
 
@@ -294,7 +294,9 @@ class Multivector:
 
     ``coeffs`` holds one coefficient per blade mask.  Construct with any
     iterable of 2**n numbers, or through :meth:`scalar`, :meth:`blade`,
-    :meth:`basis_blade`, :meth:`from_terms`.
+    :meth:`basis_blade`, :meth:`from_terms`.  A float-backed value whose
+    coefficient is inf or nan, or too large for a float, raises
+    FloatRangeError.
     """
 
     __slots__ = ("sig", "coeffs", "_float")
@@ -306,7 +308,14 @@ class Multivector:
                 f"expected {sig.dim} coefficients for {sig}, got {len(coeffs)}"
             )
         if any(isinstance(c, float) for c in coeffs):
-            coeffs = tuple(float(c) for c in coeffs)
+            try:
+                coeffs = tuple(float(c) for c in coeffs)
+                finite = all(map(math.isfinite, coeffs))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise FloatRangeError("a float coefficient is outside the double "
+                                      "range (inf, nan or too large)")
             is_float = True
         else:
             coeffs = tuple(_normalize_exact(c) for c in coeffs)
@@ -374,9 +383,6 @@ class Multivector:
     def is_float(self) -> bool:
         return self._float
 
-    def coefficient(self, bits: int) -> Scalar:
-        return self.coeffs[bits]
-
     def scalar_part(self) -> Scalar:
         return self.coeffs[0]
 
@@ -413,11 +419,6 @@ class Multivector:
         )
         return Multivector._raw(sig, coeffs, self._float)
 
-    def grades(self) -> tuple[int, ...]:
-        """Sorted grades with a nonzero coefficient."""
-        present = {g for c, g in zip(self.coeffs, self.sig.grades) if c}
-        return tuple(sorted(present))
-
     # -- conjugations ------------------------------------------------------
 
     def conjugate(self, conj: Conjugation) -> "Multivector":
@@ -449,7 +450,7 @@ class Multivector:
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector(self.sig, map(_add, self.coeffs, other.coeffs))
+            return Multivector(self.sig, map(add, self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction, float)):
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] + other
@@ -461,7 +462,7 @@ class Multivector:
     def __sub__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector(self.sig, map(_sub, self.coeffs, other.coeffs))
+            return Multivector(self.sig, map(sub, self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction, float)):
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] - other
@@ -605,42 +606,10 @@ class Multivector:
         return f"<{self.sig} {self}>"
 
 
-def _add(x, y):
-    return x + y
-
-
-def _sub(x, y):
-    return x - y
-
-
 def _format_scalar(c: Scalar) -> str:
     if isinstance(c, float):
         return repr(c)
     return str(c)
-
-
-# ---------------------------------------------------------------------------
-# operation aliases (functional spelling of the Multivector methods)
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def grade_projection(u: Multivector, k: int) -> Multivector:
-    return u.grade(k)
-
-
-def conjugate(u: Multivector, conj: Conjugation) -> Multivector:
-    return u.conjugate(conj)
-
-
-def scalar_part(u: Multivector) -> Scalar:
-    return u.scalar_part()
-
-
-def trace(u: Multivector) -> Scalar:
-    return u.trace()
 
 
 def random_multivector(

@@ -38,10 +38,6 @@ class CharPoly:
                 f"got {len(self.coeffs)}"
             )
 
-    def coefficient(self, k: int) -> Scalar:
-        """C(k), 1-based."""
-        return self.coeffs[k - 1]
-
     @property
     def det(self) -> Scalar:
         """Det(U) = -CN."""
@@ -50,10 +46,6 @@ class CharPoly:
     @property
     def trace(self) -> Scalar:
         return self.coeffs[0]
-
-    def monic_coefficients(self) -> tuple[Scalar, ...]:
-        """(1, -C1, ..., -CN): descending-power coefficients of phi_U."""
-        return (1, *(-c for c in self.coeffs))
 
     def evaluate(self, x):
         """phi_U evaluated at x; x may be a scalar or a Multivector."""

@@ -3,22 +3,26 @@
 Each formula is stored as data, not code: a list of weighted term trees whose
 leaves are numbered occurrence slots (slot i is the i-th factor, counted left
 to right).  Substituting the same multivector into every slot evaluates the
-determinant; the Vieta machinery reuses the same trees with identity elements
-substituted into slot subsets.  Four families are cataloged:
+determinant; substituting separate values evaluates the paper's N-variable
+F-function (``DetFormula.evaluate``), which the Vieta machinery sums over
+identity/U slot assignments.  Four families are cataloged:
 
 * ``triangle``      -- grade involution / reversion / delta conjugations,
 * ``bar``           -- the bar operation only,
 * ``bar_tilde``     -- bar plus reversion,
 * ``bar_tilde_hat`` -- bar plus reversion plus grade involution.
 
-Trees keep each formula's written parenthesization; no algebraic
-simplification is performed.  The catalog is exportable as a documented JSON
-term-tree format (see ``formula_to_json``).
+The catalog is written in the notation ``format_formula`` prints, e.g.
+``x1 * hat(tilde(x2)) * delta3(hat(x3) * tilde(x4))``, and read into trees
+once at import.  Trees keep each formula's written parenthesization; no
+algebraic simplification is performed.  The catalog is exportable as a
+documented JSON term-tree format (see ``formula_to_json``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -73,21 +77,6 @@ class FormulaTerm:
     tree: Node
 
 
-@dataclass(frozen=True)
-class DetFormula:
-    """A weighted sum of conjugation-product words equal to Det(U) when every
-    slot holds the same U (for any signature with p + q = n)."""
-
-    n: int
-    family: str
-    variant: str
-    terms: tuple[FormulaTerm, ...]
-
-    @property
-    def arity(self) -> int:
-        return charpoly_degree(self.n)
-
-
 def _slot_indices(node: Node) -> list[int]:
     if isinstance(node, Slot):
         return [node.index]
@@ -96,162 +85,135 @@ def _slot_indices(node: Node) -> list[int]:
     return [i for f in node.factors for i in _slot_indices(f)]
 
 
-def _validate(formula: DetFormula) -> DetFormula:
-    N = formula.arity
-    for term in formula.terms:
-        if _slot_indices(term.tree) != list(range(1, N + 1)):
+@dataclass(frozen=True)
+class DetFormula:
+    """A weighted sum of conjugation-product words equal to Det(U) when every
+    slot holds the same U (for any signature with p + q = n).
+
+    Read with its N slots as separate variables it is the F-function
+    F(x1, ..., xN).  Construction checks that every term uses slots 1..N
+    left to right and that the weights sum to 1.
+    """
+
+    n: int
+    family: str
+    variant: str
+    terms: tuple[FormulaTerm, ...]
+
+    def __post_init__(self):
+        for term in self.terms:
+            if _slot_indices(term.tree) != list(range(1, self.arity + 1)):
+                raise ValueError(
+                    f"term of {self.family} n={self.n} does not use slots "
+                    f"1..{self.arity} left to right"
+                )
+        if sum(t.weight for t in self.terms) != 1:
             raise ValueError(
-                f"term of {formula.family} n={formula.n} does not use slots "
-                f"1..{N} left to right"
+                f"weights of {self.family} n={self.n} do not sum to 1"
             )
-    if sum(t.weight for t in formula.terms) != 1:
-        raise ValueError(
-            f"weights of {formula.family} n={formula.n} do not sum to 1"
-        )
-    return formula
+
+    @property
+    def arity(self) -> int:
+        return charpoly_degree(self.n)
+
+    def evaluate(self, values) -> Multivector:
+        """F(x1, ..., xN) on explicit per-slot multivectors."""
+        values = tuple(values)
+        if len(values) != self.arity:
+            raise ValueError(f"expected {self.arity} slot values, got {len(values)}")
+        return evaluate_terms(self.terms, values)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-_HAT = GRADE_INVOLUTION
-_TILDE = REVERSION
+#: Conjugation names of the text notation; delta(j) is written ``delta<j>``.
+_NAMES = {GRADE_INVOLUTION: "hat", REVERSION: "tilde", BAR: "bar"}
+_BY_NAME = {name: conj for conj, name in _NAMES.items()}
+
+_BAR_TWO_TERMS = (
+    "1/3 * x1 * x2 * bar(x3 * x4)"
+    " + 2/3 * x1 * bar(bar(x2) * bar(bar(x3) * bar(x4)))"
+)
+# The bar table with every slot replaced by H = U * reversion(U).
+_BAR_TILDE_TWO_TERMS = (
+    "1/3 * x1 * tilde(x2) * x3 * tilde(x4) * bar(x5 * tilde(x6) * x7 * tilde(x8))"
+    " + 2/3 * x1 * tilde(x2) * bar(bar(x3 * tilde(x4))"
+    " * bar(bar(x5 * tilde(x6)) * bar(x7 * tilde(x8))))"
+)
+
+_CATALOG_TEXT = {
+    (1, "triangle", "standard"): "x1 * hat(x2)",
+    (2, "triangle", "standard"): "x1 * hat(tilde(x2))",
+    (3, "triangle", "standard"): "x1 * hat(x2) * tilde(x3) * hat(tilde(x4))",
+    (3, "triangle", "reordered"): "tilde(x1) * hat(x2) * hat(tilde(x3)) * x4",
+    (4, "triangle", "standard"):
+        "x1 * hat(tilde(x2)) * delta3(hat(x3) * tilde(x4))",
+    (5, "triangle", "standard"):
+        "x1 * hat(tilde(x2)) * hat(x3) * tilde(x4)"
+        " * delta3(hat(x5) * tilde(x6) * x7 * hat(tilde(x8)))",
+    (6, "triangle", "standard"):
+        "1/3 * x1 * tilde(x2) * hat(x3) * hat(tilde(x4))"
+        " * delta3(hat(x5) * hat(tilde(x6)) * x7 * tilde(x8))"
+        " + 2/3 * x1 * tilde(x2) * delta3(delta3(hat(x3) * hat(tilde(x4)))"
+        " * delta3(delta3(hat(x5) * hat(tilde(x6))) * delta3(x7 * tilde(x8))))",
+    (1, "bar", "standard"): "x1 * bar(x2)",
+    (2, "bar", "standard"): "x1 * bar(x2)",
+    (3, "bar", "standard"): _BAR_TWO_TERMS,
+    (4, "bar", "standard"): _BAR_TWO_TERMS,
+    (3, "bar_tilde", "standard"): "x1 * tilde(x2) * bar(x3 * tilde(x4))",
+    (4, "bar_tilde", "standard"): "x1 * tilde(x2) * bar(x3 * tilde(x4))",
+    (5, "bar_tilde", "standard"): _BAR_TILDE_TWO_TERMS,
+    (6, "bar_tilde", "standard"): _BAR_TILDE_TWO_TERMS,
+    # J * hat(J) * bar(J * hat(J)) with J = U * hat(tilde(U)), expanded so
+    # every slot is explicit.
+    (5, "bar_tilde_hat", "standard"):
+        "x1 * hat(tilde(x2)) * hat(x3) * tilde(x4)"
+        " * bar(x5 * hat(tilde(x6)) * hat(x7) * tilde(x8))",
+}
 
 
-class _Slots:
-    """Doles out slot leaves in left-to-right construction order."""
+def _read_formula(n: int, family: str, variant: str, text: str) -> DetFormula:
+    """The DetFormula that ``format_formula`` prints as ``text``."""
+    tokens = re.findall(r"\d+/\d+|\w+|\S", text)[::-1]  # pop() takes the next
 
-    def __init__(self):
-        self.count = 0
+    def expect(token: str) -> None:
+        if tokens.pop() != token:
+            raise ValueError(f"expected {token!r} in {text!r}")
 
-    def __call__(self) -> Slot:
-        self.count += 1
-        return Slot(self.count)
+    def product() -> Node:
+        factors = [factor()]
+        while tokens and tokens[-1] == "*":
+            tokens.pop()
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
+    def factor() -> Node:
+        token = tokens.pop()
+        if token == "(":
+            node = product()
+        elif re.fullmatch(r"x\d+", token):
+            return Slot(int(token[1:]))
+        else:
+            conj = _BY_NAME.get(token) or delta(int(token.removeprefix("delta")))
+            expect("(")
+            node = Conj(conj, product())
+        expect(")")
+        return node
 
-def _h(x: Node) -> Node:
-    return Conj(_HAT, x)
-
-
-def _t(x: Node) -> Node:
-    return Conj(_TILDE, x)
-
-
-def _ht(x: Node) -> Node:
-    return Conj(_HAT, Conj(_TILDE, x))
-
-
-def _d3(x: Node) -> Node:
-    return Conj(delta(3), x)
-
-
-def _bar(x: Node) -> Node:
-    return Conj(BAR, x)
-
-
-def _p(*factors: Node) -> Prod:
-    return Prod(tuple(factors))
-
-
-def _term(weight, tree: Node) -> FormulaTerm:
-    return FormulaTerm(Fraction(weight), tree)
-
-
-def _triangle_terms(n: int, variant: str) -> tuple[FormulaTerm, ...]:
-    s = _Slots()
-    if n == 1:
-        return (_term(1, _p(s(), _h(s()))),)
-    if n == 2:
-        return (_term(1, _p(s(), _ht(s()))),)
-    if n == 3 and variant == "standard":
-        return (_term(1, _p(s(), _h(s()), _t(s()), _ht(s()))),)
-    if n == 3 and variant == "reordered":
-        return (_term(1, _p(_t(s()), _h(s()), _ht(s()), s())),)
-    if n == 4:
-        return (_term(1, _p(s(), _ht(s()), _d3(_p(_h(s()), _t(s()))))),)
-    if n == 5:
-        return (_term(1, _p(
-            s(), _ht(s()), _h(s()), _t(s()),
-            _d3(_p(_h(s()), _t(s()), s(), _ht(s()))),
-        )),)
-    if n == 6:
-        first = _term(Fraction(1, 3), _p(
-            s(), _t(s()), _h(s()), _ht(s()),
-            _d3(_p(_h(s()), _ht(s()), s(), _t(s()))),
-        ))
-        s = _Slots()
-        second = _term(Fraction(2, 3), _p(
-            s(), _t(s()),
-            _d3(_p(
-                _d3(_p(_h(s()), _ht(s()))),
-                _d3(_p(_d3(_p(_h(s()), _ht(s()))), _d3(_p(s(), _t(s()))))),
-            )),
-        ))
-        return (first, second)
-    raise AssertionError(n)
+    terms = []
+    while True:
+        weight = Fraction(1)
+        if tokens[-1][0].isdigit():
+            weight = Fraction(tokens.pop())
+            expect("*")
+        terms.append(FormulaTerm(weight, product()))
+        if not tokens:
+            return DetFormula(n, family, variant, tuple(terms))
+        expect("+")
 
 
-def _bar_terms(n: int) -> tuple[FormulaTerm, ...]:
-    s = _Slots()
-    if n in (1, 2):
-        return (_term(1, _p(s(), _bar(s()))),)
-    # n = 3, 4: identical two-term tables.
-    first = _term(Fraction(1, 3), _p(s(), s(), _bar(_p(s(), s()))))
-    s = _Slots()
-    second = _term(Fraction(2, 3), _p(
-        s(), _bar(_p(_bar(s()), _bar(_p(_bar(s()), _bar(s()))))),
-    ))
-    return (first, second)
-
-
-def _bar_tilde_terms(n: int) -> tuple[FormulaTerm, ...]:
-    s = _Slots()
-    if n in (3, 4):
-        return (_term(1, _p(s(), _t(s()), _bar(_p(s(), _t(s()))))),)
-    # n = 5, 6: identical two-term tables built from H = U * reversion(U).
-    first = _term(Fraction(1, 3), _p(
-        s(), _t(s()), s(), _t(s()),
-        _bar(_p(s(), _t(s()), s(), _t(s()))),
-    ))
-    s = _Slots()
-    second = _term(Fraction(2, 3), _p(
-        s(), _t(s()),
-        _bar(_p(
-            _bar(_p(s(), _t(s()))),
-            _bar(_p(_bar(_p(s(), _t(s()))), _bar(_p(s(), _t(s()))))),
-        )),
-    ))
-    return (first, second)
-
-
-def _bar_tilde_hat_terms() -> tuple[FormulaTerm, ...]:
-    # n = 5 only: J * hat(J) * bar(J * hat(J)) with J = U * hat(tilde(U)),
-    # stored in expanded form so every slot is explicit.
-    s = _Slots()
-    return (_term(1, _p(
-        s(), _ht(s()), _h(s()), _t(s()),
-        _bar(_p(s(), _ht(s()), _h(s()), _t(s()))),
-    )),)
-
-
-def _build_catalog() -> dict[tuple[int, str, str], DetFormula]:
-    catalog: dict[tuple[int, str, str], DetFormula] = {}
-
-    def add(formula: DetFormula) -> None:
-        catalog[(formula.n, formula.family, formula.variant)] = _validate(formula)
-
-    for n in range(1, 7):
-        add(DetFormula(n, "triangle", "standard", _triangle_terms(n, "standard")))
-    add(DetFormula(3, "triangle", "reordered", _triangle_terms(3, "reordered")))
-    for n in range(1, 5):
-        add(DetFormula(n, "bar", "standard", _bar_terms(n)))
-    for n in range(3, 7):
-        add(DetFormula(n, "bar_tilde", "standard", _bar_tilde_terms(n)))
-    add(DetFormula(5, "bar_tilde_hat", "standard", _bar_tilde_hat_terms()))
-    return catalog
-
-
-_CATALOG = _build_catalog()
+_CATALOG = {key: _read_formula(*key, text) for key, text in _CATALOG_TEXT.items()}
 
 
 def det_formula(n: int, family: str = "triangle", variant: str = "standard") -> DetFormula:
@@ -321,12 +283,16 @@ def _require_scalar(mv: Multivector, context: str) -> Scalar:
     return mv.scalar_part()
 
 
-def evaluate_det(formula: DetFormula, u: Multivector) -> Scalar:
-    """Det(u) by substituting u into every slot of the formula."""
+def _require_dimension(formula: DetFormula, u: Multivector) -> None:
     if u.sig.n != formula.n:
         raise ValueError(
             f"formula is for n={formula.n}, multivector lives in {u.sig}"
         )
+
+
+def evaluate_det(formula: DetFormula, u: Multivector) -> Scalar:
+    """Det(u) by substituting u into every slot of the formula."""
+    _require_dimension(formula, u)
     value = evaluate_terms(formula.terms, (u,) * formula.arity)
     return _require_scalar(
         value, f"{formula.family}/{formula.variant} determinant formula (n={formula.n})"
@@ -345,17 +311,9 @@ def _adjugate_factors(term: FormulaTerm) -> tuple[Node, ...]:
 
 def evaluate_adjugate(formula: DetFormula, u: Multivector) -> Multivector:
     """Adj(u) = sum of weighted terms with the common factor U removed."""
-    if u.sig.n != formula.n:
-        raise ValueError(
-            f"formula is for n={formula.n}, multivector lives in {u.sig}"
-        )
-    values = (u,) * formula.arity
-    total = None
-    for term in formula.terms:
-        word = _eval_node(Prod(_adjugate_factors(term)), values)
-        contribution = word * term.weight
-        total = contribution if total is None else total + contribution
-    return total
+    _require_dimension(formula, u)
+    terms = [FormulaTerm(t.weight, Prod(_adjugate_factors(t))) for t in formula.terms]
+    return evaluate_terms(terms, (u,) * formula.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +363,7 @@ def formula_from_json(data: dict) -> DetFormula:
         FormulaTerm(Fraction(t["weight"]), _node_from_json(t["tree"]))
         for t in data["terms"]
     )
-    return _validate(
-        DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
-    )
+    return DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
 
 
 def catalog_to_json() -> list[dict]:
@@ -420,9 +376,7 @@ def format_node(node: Node) -> str:
     if isinstance(node, Slot):
         return f"x{node.index}"
     if isinstance(node, Conj):
-        name = {"grade_involution": "hat", "reversion": "tilde", "bar": "bar"}.get(
-            node.conj.kind, f"delta{node.conj.j}"
-        )
+        name = _NAMES.get(node.conj, str(node.conj))
         return f"{name}({format_node(node.child)})"
     return " * ".join(
         f"({format_node(f)})" if isinstance(f, Prod) else format_node(f)

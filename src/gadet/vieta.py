@@ -1,10 +1,11 @@
 """Characteristic coefficients from determinant formulas by slot substitution.
 
-Numbering the N occurrences of U in a determinant formula left to right turns
-it into an N-variable function F.  Summing F over every tuple with k slots
-holding U and N-k slots holding the identity e, with sign (-1)**(k+1), yields
-C(k) -- the same coefficients the trace recursion produces, but derived from
-the highest coefficient downward.
+A cataloged determinant formula, read with its N occurrences of U numbered
+left to right as separate variables, is the paper's N-variable F-function
+(``f_function`` returns the ``DetFormula`` itself).  Summing F over every
+tuple with k slots holding U and N-k slots holding the identity e, with sign
+(-1)**(k+1), yields C(k) -- the same coefficients the trace recursion
+produces, but derived from the highest coefficient downward.
 
 One evaluator computes these sums: it walks each term tree once and keeps,
 per subtree, the sum of its values over all assignments with i slots holding
@@ -24,67 +25,45 @@ from itertools import combinations
 
 from .algebra import EIGEN_COMPARE_TOL, Multivector, Scalar
 from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
-from .errors import ConsistencyError, NotGenericError
+from .errors import NotGenericError
 from .formulas import (
     Conj,
-    FormulaTerm,
+    DetFormula,
     Slot,
+    _require_dimension,
     _require_scalar,
     det_formula,
-    evaluate_terms,
 )
 
 
-@dataclass(frozen=True)
-class FFunction:
-    """A determinant formula read as an N-variable function of its slots."""
-
-    n: int
-    family: str
-    variant: str
-    arity: int
-    terms: tuple[FormulaTerm, ...]
-
-    def evaluate(self, values) -> Multivector:
-        """F(x1, ..., xN) on explicit per-slot multivectors."""
-        values = tuple(values)
-        if len(values) != self.arity:
-            raise ValueError(f"expected {self.arity} slot values, got {len(values)}")
-        return evaluate_terms(self.terms, values)
-
-
-def f_function(n: int, family: str = "triangle", variant: str = "standard") -> FFunction:
-    """The slot-numbered form of a cataloged determinant formula."""
-    formula = det_formula(n, family, variant)
-    return FFunction(formula.n, formula.family, formula.variant,
-                     formula.arity, formula.terms)
+def f_function(n: int, family: str = "triangle", variant: str = "standard") -> DetFormula:
+    """The F-function of a cataloged determinant formula: the formula itself,
+    evaluated on separate slot values with ``DetFormula.evaluate``."""
+    return det_formula(n, family, variant)
 
 
 # ---------------------------------------------------------------------------
 # graded-sum evaluation of F over every e/U slot assignment
 
 
-def _graded_sums(node, u: Multivector, e: Multivector):
+def _graded_sums(node, u: Multivector, e: Multivector) -> list:
     """Per-weight sums of a subtree over its slot assignments.
 
-    Returns (lo, width, sums): the subtree covers slots lo+1..lo+width and
-    sums[i] is the sum of its values over all assignments with i slots
-    holding u.  Because the geometric product is bilinear, a product node's
-    sums are the convolution of its children's sums; this accumulates exactly
-    the same tuple sums as enumerating the 2**N assignments one by one, just
-    reassociated, at far fewer products.
+    sums[i] is the sum of the subtree's values over all assignments with i
+    of its slots holding u.  Because the geometric product is bilinear, a
+    product node's sums are the convolution of its children's sums; this
+    accumulates exactly the same tuple sums as enumerating the 2**N
+    assignments one by one, just reassociated, at far fewer products.
+    DetFormula's construction check guarantees each slot occurs once.
     """
     if isinstance(node, Slot):
-        return node.index - 1, 1, [e, u]
+        return [e, u]
     if isinstance(node, Conj):
-        lo, width, sums = _graded_sums(node.child, u, e)
-        return lo, width, [v.conjugate(node.conj) for v in sums]
-    lo, width, sums = _graded_sums(node.factors[0], u, e)
+        return [v.conjugate(node.conj) for v in _graded_sums(node.child, u, e)]
+    sums = _graded_sums(node.factors[0], u, e)
     for factor in node.factors[1:]:
-        f_lo, f_width, f_sums = _graded_sums(factor, u, e)
-        if f_lo != lo + width:
-            raise ConsistencyError("term slots are not numbered left to right")
-        combined = [None] * (width + f_width + 1)
+        f_sums = _graded_sums(factor, u, e)
+        combined = [None] * (len(sums) + len(f_sums) - 1)
         for i, left in enumerate(sums):
             for j, right in enumerate(f_sums):
                 if i == 0:
@@ -95,28 +74,25 @@ def _graded_sums(node, u: Multivector, e: Multivector):
                     value = left * right
                 k = i + j
                 combined[k] = value if combined[k] is None else combined[k] + value
-        width += f_width
         sums = combined
-    return lo, width, sums
+    return sums
 
 
-def _x_sums(f: FFunction, u: Multivector) -> list:
+def _x_sums(f: DetFormula, u: Multivector) -> list:
     """[None, X(1), ..., X(N)]: the weighted sums of F over every tuple with
     k slots holding u, for each k."""
     e = u.sig.identity
     N = f.arity
     totals = [None] * (N + 1)
     for term in f.terms:
-        lo, width, sums = _graded_sums(term.tree, u, e)
-        if lo != 0 or width != N:
-            raise ConsistencyError("term does not cover slots 1..N")
+        sums = _graded_sums(term.tree, u, e)
         for k in range(1, N + 1):
             part = sums[k] * term.weight
             totals[k] = part if totals[k] is None else totals[k] + part
     return totals
 
 
-def _coefficient(f: FFunction, k: int, x_k: Multivector) -> Scalar:
+def _coefficient(f: DetFormula, k: int, x_k: Multivector) -> Scalar:
     """C(k) = (-1)**(k+1) * X(k), once X(k) is shown to be scalar."""
     scalar = _require_scalar(
         x_k, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
@@ -124,14 +100,13 @@ def _coefficient(f: FFunction, k: int, x_k: Multivector) -> Scalar:
     return scalar if k % 2 == 1 else -scalar
 
 
-def vieta_coefficient(f: FFunction, u: Multivector, k: int) -> Scalar:
+def vieta_coefficient(f: DetFormula, u: Multivector, k: int) -> Scalar:
     """C(k) = (-1)**(k+1) * sum of F over all tuples with k slots equal to u.
 
     The summed multivector X(k) must be scalar (all grades >= 1 vanish) or
     ConsistencyError is raised.
     """
-    if u.sig.n != f.n:
-        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
+    _require_dimension(f, u)
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must be in 1..{f.arity}, got {k}")
     if k == f.arity:
@@ -140,13 +115,12 @@ def vieta_coefficient(f: FFunction, u: Multivector, k: int) -> Scalar:
     return _coefficient(f, k, _x_sums(f, u)[k])
 
 
-def vieta_all(f: FFunction, u: Multivector) -> CharPoly:
+def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
     """All C(1)..C(N) at once; equals fl_coefficients(u) exactly.
 
     Every X(k) sum passes through the scalarity assertion.
     """
-    if u.sig.n != f.n:
-        raise ValueError(f"F-function is for n={f.n}, multivector lives in {u.sig}")
+    _require_dimension(f, u)
     totals = _x_sums(f, u)
     return CharPoly(u.sig, tuple(
         _coefficient(f, k, totals[k]) for k in range(1, f.arity + 1)

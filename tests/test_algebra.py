@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadet import (
+    FloatRangeError,
     Multivector,
     Signature,
     SignatureMismatchError,
@@ -238,6 +240,20 @@ def test_to_float_and_back():
     uf = u.to_float()
     assert uf.is_float
     assert uf.to_exact() == u  # 3/4 is exact in binary
+
+
+def test_non_finite_floats_rejected_at_construction():
+    s = Signature(2, 0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FloatRangeError, match="float.*range"):
+            Multivector(s, (1.0, bad, 0.0, 0.0))
+    # An int beyond the double range in a float-backed value.
+    with pytest.raises(FloatRangeError, match="float.*range"):
+        Multivector(s, (1.0, 10**400, 0, 0))
+    # A float sum that overflows is rejected, not carried on as inf.
+    big = Multivector.scalar(s, 1e308)
+    with pytest.raises(FloatRangeError):
+        big + big
 
 
 # -- algebraic laws on randomly generated coefficients ----------------------

@@ -21,7 +21,7 @@ from gadet import (
     formula_from_json,
     formula_to_json,
 )
-from gadet.formulas import Conj, FormulaTerm, Prod, Slot, format_formula
+from gadet.formulas import _CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, format_formula
 from helpers import SIGNATURES, random_mvs
 
 
@@ -203,3 +203,30 @@ def test_json_round_trip_and_schema():
 def test_format_formula_is_readable():
     text = format_formula(det_formula(4))
     assert text == "x1 * hat(tilde(x2)) * delta3(hat(x3) * tilde(x4))"
+
+
+def test_catalog_prints_as_written():
+    # The catalog is read from this notation; printing it back catches a
+    # silent mis-parse.
+    assert len(_CATALOG_TEXT) == 16
+    for (n, family, variant), text in _CATALOG_TEXT.items():
+        assert format_formula(det_formula(n, family, variant)) == text
+
+
+def test_construction_validates_slots_and_weights():
+    from gadet.formulas import DetFormula
+
+    def formula(*terms):
+        return DetFormula(2, "triangle", "test", tuple(
+            FormulaTerm(Fraction(w), Prod(tuple(map(Slot, slots))))
+            for w, slots in terms
+        ))
+
+    formula((1, (1, 2)))
+    for slots in [(2, 1), (1, 1), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="slots"):
+            formula((1, slots))
+    with pytest.raises(ValueError, match="sum to 1"):
+        formula((Fraction(1, 3), (1, 2)))
+    with pytest.raises(ValueError, match="sum to 1"):
+        formula()

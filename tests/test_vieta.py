@@ -139,11 +139,10 @@ def test_vieta_rejects_bad_k_and_dimension():
 
 
 def test_broken_f_function_fails_scalarity():
-    from gadet.formulas import FormulaTerm, Prod, Slot
-    from gadet.vieta import FFunction
+    from gadet.formulas import DetFormula, FormulaTerm, Prod, Slot
 
-    broken = FFunction(2, "triangle", "broken", 2,
-                       (FormulaTerm(Fraction(1), Prod((Slot(1), Slot(2)))),))
+    broken = DetFormula(2, "triangle", "broken",
+                        (FormulaTerm(Fraction(1), Prod((Slot(1), Slot(2)))),))
     s = Signature(2, 0)
     u = Multivector.from_terms(s, {0: 1, 1: 3, 3: 2})
     with pytest.raises(ConsistencyError):
