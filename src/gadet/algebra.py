@@ -15,6 +15,17 @@ multivector with a float one follows normal numeric coercion and yields a
 float result.  All values are immutable and every operation is a pure
 function of its inputs.
 
+The geometric product is table-driven.  Blade i times blade j is
+sign(i, j) * e_(i^j), so output k of a*b is
+
+    c_k = sum_i a_i * sign[i, k] * b_(i^k),    sign[i, k] = sign(i, i^k),
+
+one numpy contraction of a against a dim x dim gather of b.  Each signature
+stores the table once, as indices into [b, -b], so no sign multiplies are
+needed.  Floats contract in float64.  Exact operands are first scaled to
+ints by their common denominators, contracted in object dtype (Python ints,
+so nothing overflows), then divided back once.
+
 Every float tolerance of the package is defined here.  :func:`close` is the
 one scalar agreement rule; multivector and characteristic-polynomial
 equality apply it coefficient by coefficient.
@@ -26,9 +37,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, sub
-from operator import mul as _operator_mul
+from operator import add, sub
 from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import FloatRangeError, SignatureMismatchError
 
@@ -114,7 +126,7 @@ class Signature:
 
     __slots__ = (
         "p", "q", "n", "N", "m", "dim", "eta", "grades",
-        "_geta", "_getb", "_segments", "_conj_signs", "_identity", "_zero",
+        "_gather", "_conj_signs", "_identity", "_zero",
     )
 
     def __new__(cls, p: int, q: int) -> "Signature":
@@ -140,7 +152,12 @@ class Signature:
         self.dim = 1 << n
         self.eta = (1,) * p + (-1,) * q
         self.grades = tuple(i.bit_count() for i in range(self.dim))
-        self._build_product_tables()
+        # The product table (see the module docstring): index i^k into
+        # [b, -b], shifted into the negated half where sign[i, k] < 0.
+        xor = np.arange(self.dim)[:, None] ^ np.arange(self.dim)
+        sign = np.array([[self._blade_product(i, j)[1] for j in row]
+                         for i, row in enumerate(xor.tolist())])
+        self._gather = xor + self.dim * (sign < 0)
         self._conj_signs = {}
         self._identity = None
         self._zero = None
@@ -165,33 +182,6 @@ class Signature:
                 sign = -sign
             common ^= low
         return a ^ b, sign
-
-    def _build_product_tables(self) -> None:
-        # Flat layout: for each output blade k, the contributing (i, j) pairs,
-        # positive-sign pairs first.  Products then run as one C-level gather
-        # (itemgetter), one multiply pass, and two slice-sums per output.
-        dim = self.dim
-        by_output = [([], []) for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                k, sign = self._blade_product(i, j)
-                by_output[k][0 if sign > 0 else 1].append((i, j))
-        flat_a: list[int] = []
-        flat_b: list[int] = []
-        segments = []
-        for plus, minus in by_output:
-            start = len(flat_a)
-            for i, j in plus:
-                flat_a.append(i)
-                flat_b.append(j)
-            mid = len(flat_a)
-            for i, j in minus:
-                flat_a.append(i)
-                flat_b.append(j)
-            segments.append((slice(start, mid), slice(mid, len(flat_a))))
-        self._geta = itemgetter(*flat_a)
-        self._getb = itemgetter(*flat_b)
-        self._segments = tuple(segments)
 
     def conjugation_signs(self, conj: Conjugation) -> tuple[int, ...]:
         """Per-blade sign vector of a conjugation (cached)."""
@@ -502,14 +492,6 @@ class Multivector:
             return self._scale(1.0 / other)
         return NotImplemented
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result = self.sig.identity
-        for _ in range(k):
-            result = result * self
-        return result
-
     def _geometric_product(self, other: "Multivector") -> "Multivector":
         sig = self.sig
         a, b = self.coeffs, other.coeffs
@@ -518,34 +500,26 @@ class Multivector:
             return other._scale(a[0])
         if not any(b[1:]):
             return self._scale(b[0])
-        if self._float or other._float:
-            prods = list(map(_operator_mul, sig._geta(a), sig._getb(b)))
-            coeffs = tuple(
-                float(sum(prods[plus]) - sum(prods[minus]))
-                for plus, minus in sig._segments
-            )
-            return Multivector._raw(sig, coeffs, True)
-        # Exact path: factor out the (small) common denominators, convolve in
-        # plain int arithmetic, divide back once.
-        da = common_denominator(a)
-        db = common_denominator(b)
-        if da != 1:
-            a = tuple(int(c * da) for c in a)
-        if db != 1:
-            b = tuple(int(c * db) for c in b)
-        prods = list(map(_operator_mul, sig._geta(a), sig._getb(b)))
-        den = da * db
-        if den == 1:
-            coeffs = tuple(
-                sum(prods[plus]) - sum(prods[minus])
-                for plus, minus in sig._segments
-            )
-        else:
-            coeffs = tuple(
-                exact_ratio(sum(prods[plus]) - sum(prods[minus]), den)
-                for plus, minus in sig._segments
-            )
-        return Multivector._raw(sig, coeffs, False)
+        is_float = self._float or other._float
+        den = 1
+        if not is_float:
+            # Factor out the (small) common denominators, contract in plain
+            # int arithmetic, divide back once.
+            da = common_denominator(a)
+            db = common_denominator(b)
+            if da != 1:
+                a = tuple(int(c * da) for c in a)
+            if db != 1:
+                b = tuple(int(c * db) for c in b)
+            den = da * db
+        a = np.array(a, float if is_float else object)
+        b = np.array(b, a.dtype)
+        # Float overflow yields inf, as a Python float sum would.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = (a @ np.concatenate((b, -b))[sig._gather]).tolist()
+        if den != 1:
+            coeffs = [exact_ratio(c, den) for c in coeffs]
+        return Multivector._raw(sig, tuple(coeffs), is_float)
 
     # -- comparison --------------------------------------------------------
 

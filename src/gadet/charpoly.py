@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import Multivector, Scalar, Signature, close, exact_ratio
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
@@ -146,28 +146,22 @@ def _newton_interpolate(nodes: Sequence, values: Sequence):
     return poly
 
 
-def charpoly_interp(
-    u: Multivector,
-    det_fn: Callable[[Multivector], Scalar] | None = None,
-) -> CharPoly:
-    """Characteristic coefficients by sampling D(x) = Det(x*e - u) at the
-    integer nodes x = 0..N and reconstructing the polynomial exactly.
+def charpoly_interp(u: Multivector) -> CharPoly:
+    """Characteristic coefficients by sampling D(x) = Det(x*e - u) with
+    ``det_fl`` at the integer nodes x = 0..N and reconstructing the polynomial
+    exactly; the result must match ``fl_coefficients(u)``.
 
-    ``det_fn`` selects the determinant method (default: ``det_fl``); the
-    result must match ``fl_coefficients(u)``.  A float input is taken at the
-    exact binary value of its coefficients, so ``det_fn`` always receives
-    exact multivectors and each C(k) is rounded to float once, at the end.
+    A float input is taken at the exact binary value of its coefficients, so
+    every sample is exact and each C(k) is rounded to float once, at the end.
     An inf or nan input coefficient, or a C(k) outside the double range,
     raises FloatRangeError.
     """
-    if det_fn is None:
-        det_fn = det_fl
     sig = u.sig
     N = sig.N
     e = sig.identity
     exact = u.to_exact()
     nodes = list(range(N + 1))
-    values = [det_fn(e._scale(x) - exact) for x in nodes]
+    values = [det_fl(e._scale(x) - exact) for x in nodes]
     poly = _newton_interpolate(nodes, values)
     lead = poly[N]
     if lead != 1:

@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
 )
 from .formulas import (
+    FAMILIES,
     available_formulas,
     default_bar_family,
     det_formula,
@@ -512,10 +513,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bench)
 
     p = subs.add_parser("formulas", help="export the closed-form catalog")
-    p.add_argument("--n", type=int, choices=range(1, 7))
-    p.add_argument("--sig", type=_sig_type, metavar="P,Q")
-    p.add_argument("--family", choices=("triangle", "bar", "bar_tilde",
-                                        "bar_tilde_hat"))
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--n", type=int, choices=range(1, 7))
+    which.add_argument("--sig", type=_sig_type, metavar="P,Q")
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(handler=_cmd_formulas)
 

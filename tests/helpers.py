@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gadet import Signature, all_signatures, random_multivector
+from gadet import Multivector, Signature, all_signatures, random_multivector
 
 SIGNATURES = all_signatures()
 
@@ -37,3 +37,15 @@ def vieta_by_masks(f, u, k: int, rng: random.Random | None = None):
     assert total.is_scalar(), f"X({k}) is not scalar: {total}"
     scalar = total.scalar_part()
     return scalar if k % 2 == 1 else -scalar
+
+
+def product_by_definition(u, v):
+    """Reference u * v by the literal definition: the sum over every blade
+    pair (i, j) of u_i * v_j * sign(i, j) on blade i ^ j, one term at a time."""
+    sig = u.sig
+    coeffs = [0] * sig.dim
+    for i, a in enumerate(u.coeffs):
+        for j, b in enumerate(v.coeffs):
+            k, sign = sig._blade_product(i, j)
+            coeffs[k] += sign * a * b
+    return Multivector(sig, coeffs)

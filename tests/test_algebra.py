@@ -20,7 +20,7 @@ from gadet import (
     delta,
     random_multivector,
 )
-from helpers import SIGNATURES, random_mvs
+from helpers import SIGNATURES, product_by_definition, random_mvs
 
 
 def test_signature_derived_quantities():
@@ -63,6 +63,28 @@ def test_identity_is_two_sided():
         u = random_mvs(sig, 1, 1)[0]
         assert sig.identity * u == u
         assert u * sig.identity == u
+
+
+def test_product_matches_its_definition_on_every_signature():
+    r = random.Random(3)
+    for sig in SIGNATURES:
+        u, v = random_mvs(sig, 2, 3)
+        x, y = random_mvs(sig, 2, 3, float_backend=True)
+        rational = [Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 7))
+                                      for _ in range(sig.dim))) for _ in range(2)]
+        sparse = Multivector.from_terms(
+            sig, {r.randrange(sig.dim): r.randint(-9, 9) for _ in range(2)})
+        third = Multivector.scalar(sig, Fraction(-1, 3))
+        exact_pairs = [(u, v), tuple(rational), (u, rational[0]), (sparse, u),
+                       (v, sparse), (third, u), (rational[1], third)]
+        for a, b in exact_pairs:
+            assert (a * b).coeffs == product_by_definition(a, b).coeffs
+        float_pairs = [(x, y), (x, u), (rational[0], y), (sparse, x),
+                       (Multivector.scalar(sig, 2.5), y), (x, third)]
+        for a, b in float_pairs:
+            got = a * b
+            assert got.is_float
+            assert all(map(close, got.coeffs, product_by_definition(a, b).coeffs))
 
 
 def test_signature_mismatch_raises():

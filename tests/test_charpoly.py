@@ -17,7 +17,6 @@ from gadet import (
     adjugate,
     charpoly_interp,
     det_fl,
-    det_matrix,
     fl_coefficients,
     inverse,
 )
@@ -154,12 +153,6 @@ def test_charpoly_interp_matches_fl():
         assert charpoly_interp(u) == fl_coefficients(u)
 
 
-def test_charpoly_interp_with_matrix_determinant():
-    for sig in [Signature(2, 1), Signature(1, 1)]:
-        u = random_mvs(sig, 1, 28)[0]
-        assert charpoly_interp(u, det_fn=det_matrix) == fl_coefficients(u)
-
-
 def test_charpoly_interp_float_backend():
     for sig in [Signature(2, 0), Signature(3, 1), Signature(5, 0), Signature(3, 3)]:
         u = random_mvs(sig, 1, 29)[0]
@@ -205,12 +198,13 @@ def test_charpoly_equality_follows_multivector_rule():
         hash(exact)
 
 
-def test_charpoly_interp_flags_bad_determinant_function():
+def test_charpoly_interp_flags_bad_determinant_function(monkeypatch):
     # A determinant routine that is not a degree-N polynomial in lambda
     # cannot interpolate to a monic result.
     u = random_mvs(Signature(2, 0), 1, 30)[0]
+    monkeypatch.setattr(charpoly, "det_fl", lambda mv: det_fl(mv) ** 2)
     with pytest.raises(ConsistencyError):
-        charpoly_interp(u, det_fn=lambda mv: det_fl(mv) ** 2)
+        charpoly_interp(u)
 
 
 def test_charpoly_evaluate_scalars():

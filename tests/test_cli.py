@@ -223,6 +223,13 @@ def test_formulas_text_by_signature(capsys):
     assert "n=2 triangle/standard" in out
 
 
+def test_formulas_n_and_sig_are_alternatives(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["formulas", "--n", "3", "--sig", "6,0"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "det", "--sig", "2,0", "e21")
     assert code == 2

@@ -169,6 +169,23 @@ def test_charpoly_matrix_agrees_with_fl():
         assert charpoly_matrix(u) == fl_coefficients(u)
 
 
+def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
+    expected = []
+    for sig in SIGNATURES:
+        u = random_mvs(sig, 1, 67)[0]
+        expected.append((u, det_fl(u), fl_coefficients(u)))
+
+    def forbidden(self, other):
+        raise AssertionError("the matrix oracle must not use the geometric product")
+
+    monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
+    # Rebuild every representation under the patch, not just reuse the cache.
+    monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})
+    for u, det, cp in expected:
+        assert det_matrix(u) == det
+        assert charpoly_matrix(u) == cp
+
+
 def test_charpoly_matrix_float_backend():
     s = Signature(2, 2)
     u = random_mvs(s, 1, 66)[0]
