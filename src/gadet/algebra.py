@@ -8,7 +8,9 @@ Coefficients come in two backends:
 
 * exact -- ``int`` / ``fractions.Fraction`` (default; identities verify to
   literal zero),
-* float -- ``float``, with tolerance-based equality.
+* float -- ``float``, with tolerance-based equality; every coefficient is
+  finite, and an operation that would leave the double range raises
+  FloatRangeError where it happens.
 
 A value containing any float coefficient is float-backed; mixing an exact
 multivector with a float one follows normal numeric coercion and yields a
@@ -284,9 +286,10 @@ class Multivector:
 
     ``coeffs`` holds one coefficient per blade mask.  Construct with any
     iterable of 2**n numbers, or through :meth:`scalar`, :meth:`blade`,
-    :meth:`basis_blade`, :meth:`from_terms`.  A float-backed value whose
-    coefficient is inf or nan, or too large for a float, raises
-    FloatRangeError.
+    :meth:`basis_blade`, :meth:`from_terms`.  Every float-backed value is
+    finite: construction, arithmetic and :meth:`to_float` raise
+    FloatRangeError where a coefficient would be inf or nan, or too large
+    for a float.
     """
 
     __slots__ = ("sig", "coeffs", "_float")
@@ -514,9 +517,12 @@ class Multivector:
             den = da * db
         a = np.array(a, float if is_float else object)
         b = np.array(b, a.dtype)
-        # Float overflow yields inf, as a Python float sum would.
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = (a @ np.concatenate((b, -b))[sig._gather]).tolist()
+            prod = a @ np.concatenate((b, -b))[sig._gather]
+        if is_float and not np.isfinite(prod).all():
+            raise FloatRangeError("a float geometric product is outside the "
+                                  "double range (inf or nan)")
+        coeffs = prod.tolist()
         if den != 1:
             coeffs = [exact_ratio(c, den) for c in coeffs]
         return Multivector._raw(sig, tuple(coeffs), is_float)
@@ -538,11 +544,16 @@ class Multivector:
     # -- conversion and display --------------------------------------------
 
     def to_float(self) -> "Multivector":
+        """Float-backend copy.  An exact coefficient beyond the double range
+        raises FloatRangeError."""
         if self._float:
             return self
-        return Multivector._raw(
-            self.sig, tuple(float(c) for c in self.coeffs), True
-        )
+        try:
+            coeffs = tuple(map(float, self.coeffs))
+        except OverflowError:
+            raise FloatRangeError("an exact coefficient is outside the float "
+                                  "range (too large for a double)") from None
+        return Multivector._raw(self.sig, coeffs, True)
 
     def to_exact(self) -> "Multivector":
         """Exact-backend copy; floats convert to their exact binary value.

@@ -48,11 +48,14 @@ class CharPoly:
         return self.coeffs[0]
 
     def evaluate(self, x):
-        """phi_U evaluated at x; x may be a scalar or a Multivector."""
+        """phi_U evaluated at x; x may be a scalar or a Multivector.  A float
+        value outside the double range raises FloatRangeError."""
         one = x.sig.identity if isinstance(x, Multivector) else 1
         result = one * x - self.coeffs[0]
         for c in self.coeffs[1:]:
             result = result * x - c
+        if isinstance(result, float) and not math.isfinite(result):
+            raise FloatRangeError("phi_U(x) is outside the float range")
         return result
 
     def to_float(self) -> "CharPoly":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import re
 import sys
@@ -56,31 +55,17 @@ from .vieta import (eigen_compare, f_function, gelfand_retakh_ys, vieta_all,
 # ---------------------------------------------------------------------------
 # expression parsing
 
-_TOKEN = re.compile(
+# One term with the whitespace around it.  Every part is optional, so the
+# pattern matches at any position; parse_multivector checks what a term lacks.
+_TERM = re.compile(
     r"""
-    (?P<number>\d+\.\d+(?:[eE][+-]\d+)?|\d+[eE][+-]\d+|\d+(?:/\d+)?)
-    |(?P<blade>e\d+)
-    |(?P<op>[+\-*])
+    \s*(?P<sign>[+-])?\s*
+    (?:(?P<number>\d+\.\d+(?:[eE][+-]\d+)?|\d+[eE][+-]\d+|\d+(?:/\d+)?)
+       \s*(?P<star>\*)?\s*)?
+    (?P<blade>e\d+)?\s*
     """,
     re.VERBOSE,
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    return tokens
 
 
 def _blade_bits(token: str, pos: int, sig: Signature) -> int:
@@ -99,58 +84,36 @@ def _blade_bits(token: str, pos: int, sig: Signature) -> int:
     return bits
 
 
-def _number_value(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(token)
+def _expected(what: str, text: str, pos: int) -> ParseError:
+    return ParseError(f"expected {what}, found {text[pos]!r}", pos)
 
 
 def parse_multivector(text: str, sig: Signature) -> Multivector:
     """Parse the grammar above into an exact-backend multivector."""
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise ParseError("empty expression", 0)
-    coeffs = [Fraction(0)] * sig.dim
-    i = 0
-    count = len(tokens)
-    first = True
-    while i < count:
-        kind, value, pos = tokens[i]
-        sign = 1
-        if kind == "op" and value in "+-":
-            if not first and i + 1 < count and tokens[i + 1][0] == "op" \
-                    and tokens[i + 1][1] in "+-":
-                raise ParseError("stacked signs are not allowed", tokens[i + 1][2])
-            sign = -1 if value == "-" else 1
-            i += 1
-            if i >= count:
-                raise ParseError("dangling sign", pos)
-            kind, value, pos = tokens[i]
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
-        if kind == "number":
-            coeff = sign * _number_value(value)
-            i += 1
-            bits = 0
-            if i < count and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
-                if i >= count or tokens[i][0] != "blade":
-                    raise ParseError("expected blade after '*'",
-                                     tokens[i - 1][2])
-            if i < count and tokens[i][0] == "blade":
-                bits = _blade_bits(tokens[i][1], tokens[i][2], sig)
-                i += 1
-        elif kind == "blade":
-            coeff = Fraction(sign)
-            bits = _blade_bits(value, pos, sig)
-            i += 1
-        else:
-            raise ParseError(f"unexpected token {value!r}", pos)
-        coeffs[bits] += coeff
+    coeffs = [0] * sig.dim
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, number, star, blade = m["sign"], m["number"], m["star"], m["blade"]
+        if pos and not sign:
+            raise _expected("'+' or '-' between terms", text, pos)
+        if not (number or blade):
+            if sign and m.end() == len(text):
+                raise ParseError("dangling sign", m.start("sign"))
+            raise _expected("a number or blade", text, m.end())
+        coeff = 1
+        if number:
+            try:
+                coeff = Fraction(number)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {number!r}") from None
+        if star and not blade:
+            raise ParseError("expected blade after '*'", m.start("star"))
+        bits = _blade_bits(blade, m.start("blade"), sig) if blade else 0
+        coeffs[bits] += -coeff if sign == "-" else coeff
+        pos = m.end()
     return Multivector(sig, coeffs)
 
 
@@ -179,14 +142,6 @@ def _values_agree(values) -> bool:
     return all(close(values[0], v) for v in values[1:])
 
 
-def _require_finite(values) -> None:
-    """A float result that overflowed to inf or became nan is an error, not
-    an answer."""
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-        raise FloatRangeError("a float-backend result is outside the double "
-                              "range (inf or nan)")
-
-
 # ---------------------------------------------------------------------------
 # shared computation dispatch
 
@@ -196,7 +151,7 @@ def _input_multivector(args) -> Multivector:
     if args.backend == "float":
         try:
             mv = mv.to_float()
-        except OverflowError:
+        except FloatRangeError:
             raise ParseError("a coefficient is too large for the float backend") from None
     return mv
 
@@ -239,18 +194,6 @@ METHODS = {
 _CHARPOLY_METHODS = tuple(m for m, spec in METHODS.items() if spec.charpoly)
 
 
-def _det(method: str, u: Multivector) -> Scalar:
-    det = METHODS[method].det(u)
-    _require_finite((det,))
-    return det
-
-
-def _charpoly(method: str, u: Multivector) -> CharPoly:
-    cp = METHODS[method].charpoly(u)
-    _require_finite(cp.coeffs)
-    return cp
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -259,7 +202,7 @@ def _cmd_det(args) -> int:
     payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
                "method": args.method}
     if args.method == "all":
-        dets = {m: _det(m, u) for m in METHODS}
+        dets = {m: spec.det(u) for m, spec in METHODS.items()}
         consistent = _values_agree(list(dets.values()))
         payload["det"] = _json_value(dets["fl"])
         payload["dets"] = {m: _json_value(v) for m, v in dets.items()}
@@ -268,7 +211,7 @@ def _cmd_det(args) -> int:
         lines.append(f"consistent: {str(consistent).lower()}")
         _emit(args, payload, lines)
         return 0 if consistent else 5
-    det = _det(args.method, u)
+    det = METHODS[args.method].det(u)
     payload["det"] = _json_value(det)
     _emit(args, payload, [str(det)])
     return 0
@@ -276,30 +219,26 @@ def _cmd_det(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     u = _input_multivector(args)
-    payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
-               "method": args.method}
-    if args.method == "all":
-        cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
-        cp = cps["fl"]
-        consistent = all(cp == other for other in cps.values())
-        payload["coefficients"] = [_json_value(c) for c in cp.coeffs]
-        payload["det"] = _json_value(cp.det)
-        payload["consistent"] = consistent
-        lines = [f"C = [{', '.join(str(c) for c in cp.coeffs)}]",
-                 f"det: {cp.det}", f"consistent: {str(consistent).lower()}"]
-        _emit(args, payload, lines)
-        return 0 if consistent else 5
-    if METHODS[args.method].charpoly is None:
+    every = args.method == "all"
+    if not every and METHODS[args.method].charpoly is None:
         raise ParseError(
             f"method {args.method!r} computes only the determinant; "
             f"use vieta-{args.method.split('-')[1]} for coefficients"
         )
-    cp = _charpoly(args.method, u)
-    payload["coefficients"] = [_json_value(c) for c in cp.coeffs]
-    payload["det"] = _json_value(cp.det)
-    _emit(args, payload, [f"C = [{', '.join(str(c) for c in cp.coeffs)}]",
-                          f"det: {cp.det}"])
-    return 0
+    methods = _CHARPOLY_METHODS if every else (args.method,)
+    cps = [METHODS[m].charpoly(u) for m in methods]
+    cp = cps[0]
+    consistent = all(cp == other for other in cps)
+    payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
+               "method": args.method,
+               "coefficients": [_json_value(c) for c in cp.coeffs],
+               "det": _json_value(cp.det)}
+    lines = [f"C = [{', '.join(str(c) for c in cp.coeffs)}]", f"det: {cp.det}"]
+    if every:
+        payload["consistent"] = consistent
+        lines.append(f"consistent: {str(consistent).lower()}")
+    _emit(args, payload, lines)
+    return 0 if consistent else 5
 
 
 def _cmd_inverse(args) -> int:
@@ -307,7 +246,6 @@ def _cmd_inverse(args) -> int:
     inv = inverse(u)
     adj = adjugate(u)
     det = det_fl(u)
-    _require_finite((det, *adj.coeffs, *inv.coeffs))
     payload = {
         "signature": [args.sig.p, args.sig.q], "input": args.expression,
         "method": "fl", "det": _json_value(det),
@@ -368,13 +306,13 @@ def _cmd_check(args) -> int:
     ]
     for trial in range(args.trials):
         u = random_multivector(sig, rng, float_backend=float_backend)
-        dets = {m: _det(m, u) for m in METHODS}
+        dets = {m: spec.det(u) for m, spec in METHODS.items()}
         for f in available_formulas(sig.n):
             dets[f"closed:{f.family}/{f.variant}"] = evaluate_det(f, u)
         if not _values_agree(list(dets.values())):
             failures.append({"trial": trial, "kind": "det",
                              "values": {m: _json_value(v) for m, v in dets.items()}})
-        cps = {m: _charpoly(m, u) for m in _CHARPOLY_METHODS}
+        cps = {m: METHODS[m].charpoly(u) for m in _CHARPOLY_METHODS}
         for m, cp in cps.items():
             if cp != cps["fl"]:
                 failures.append({"trial": trial, "kind": "charpoly", "method": m})
@@ -399,10 +337,10 @@ def _cmd_bench(args) -> int:
     batch = [random_multivector(sig, rng, float_backend=float_backend)
              for _ in range(args.trials)]
     results = {}
-    for method in METHODS:
+    for method, spec in METHODS.items():
         start = time.perf_counter()
         for u in batch:
-            _det(method, u)
+            spec.det(u)
         elapsed = time.perf_counter() - start
         results[method] = elapsed / len(batch) * 1e3
     payload = {
@@ -523,26 +461,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code of each error class; any other GadetError exits with 1.
+_EXIT_CODES = ((ParseError, 2), (NotInvertibleError, 3), (NotGenericError, 4),
+               (ConsistencyError, 5))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotInvertibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotGenericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except GadetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

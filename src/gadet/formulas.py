@@ -21,7 +21,6 @@ documented JSON term-tree format (see ``formula_to_json``).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .algebra import (
     charpoly_degree,
     delta,
 )
-from .errors import ConsistencyError, FloatRangeError
+from .errors import ConsistencyError
 
 FAMILIES = ("triangle", "bar", "bar_tilde", "bar_tilde_hat")
 
@@ -273,10 +272,6 @@ def evaluate_terms(
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:
     if not mv.is_scalar():
-        if mv.is_float and not all(map(math.isfinite, mv.coeffs)):
-            raise FloatRangeError(
-                f"{context} left the float range (inf or nan coefficients)"
-            )
         raise ConsistencyError(
             f"{context} produced a non-scalar result: {mv}"
         )

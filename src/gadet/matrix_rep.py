@@ -13,12 +13,14 @@ determinant scales beta(u) by the common denominator D of u's coefficients
 and runs Bareiss elimination over Gaussian integers, each step divided
 exactly by the previous pivot; the characteristic coefficients come from the
 trace recursion on D*beta(u) in integer arithmetic.  The float backend uses
-numpy on the complex matrix.  None of this touches the multivector product
-it cross-checks.
+numpy on the complex matrix; a det or trace outside the double range raises
+FloatRangeError.  None of this touches the multivector product it
+cross-checks.
 """
 
 from __future__ import annotations
 
+import cmath
 from functools import reduce
 from operator import mul
 
@@ -27,7 +29,7 @@ import numpy as np
 from .algebra import (EIGEN_RECON_TOL, REAL_TOL, Multivector, Scalar, Signature,
                       common_denominator, exact_ratio)
 from .charpoly import CharPoly
-from .errors import ConsistencyError, NonConvergenceError
+from .errors import ConsistencyError, FloatRangeError, NonConvergenceError
 
 # A monomial matrix (cols, phases): row r holds i**phases[r] in column cols[r].
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -251,6 +253,8 @@ def _gauss_matmul(ar: list, ai: list, br: list, bi: list) -> tuple[list, list]:
 
 
 def _require_real_float(value: complex, context: str) -> float:
+    if not cmath.isfinite(value):
+        raise FloatRangeError(f"{context} is outside the float range: {value}")
     if abs(value.imag) > REAL_TOL * max(1.0, abs(value.real)):
         raise ConsistencyError(f"{context} has nonzero imaginary part: {value}")
     return value.real
@@ -260,7 +264,6 @@ def det_matrix(u: Multivector) -> Scalar:
     """Det(u) = det(beta(u)); exact Gaussian-integer Bareiss or float LU."""
     mat = represent(u)
     if u.is_float:
-        # Overflow gives inf or nan; the caller's finite check reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             det = complex(np.linalg.det(_to_numpy(mat)))
         return _require_real_float(det, "det(beta(u))")

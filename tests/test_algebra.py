@@ -276,6 +276,13 @@ def test_non_finite_floats_rejected_at_construction():
     big = Multivector.scalar(s, 1e308)
     with pytest.raises(FloatRangeError):
         big + big
+    # A float product that overflows, and an exact value too large to round.
+    u = Multivector(Signature(3, 0), [1e300] * 8)
+    with pytest.raises(FloatRangeError, match="float.*range"):
+        u * u
+    for huge in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(FloatRangeError, match="float.*range"):
+            Multivector.scalar(s, huge).to_float()
 
 
 # -- algebraic laws on randomly generated coefficients ----------------------

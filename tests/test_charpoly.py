@@ -16,7 +16,10 @@ from gadet import (
     Signature,
     adjugate,
     charpoly_interp,
+    charpoly_matrix,
     det_fl,
+    det_matrix,
+    eigen_compare,
     fl_coefficients,
     inverse,
 )
@@ -180,8 +183,15 @@ def test_charpoly_interp_float_range():
         u = Multivector._raw(s, (1.0, bad, 0.0, 0.0), True)
         with pytest.raises(FloatRangeError):
             charpoly_interp(u)
-    with pytest.raises(FloatRangeError):
-        charpoly_interp(Multivector(s, (1e200, 1.0, 0.0, 0.0)))
+    # 1e200 + e1 has Det 1e400: every route leaves the double range.
+    u = Multivector(s, (1e200, 1.0, 0.0, 0.0))
+    for method in (charpoly_interp, det_fl, det_matrix, charpoly_matrix):
+        with pytest.raises(FloatRangeError, match="float.*range"):
+            method(u)
+    with pytest.raises(FloatRangeError, match="float.*range"):
+        eigen_compare(Multivector.scalar(Signature(1, 0), 10**400))
+    with pytest.raises(FloatRangeError, match="float.*range"):
+        fl_coefficients(Multivector(s, (1.0, 2.0, 0.0, 0.0))).evaluate(1e200)
 
 
 def test_charpoly_equality_follows_multivector_rule():

@@ -61,27 +61,47 @@ def test_parse_repeated_terms_accumulate():
     assert parse_multivector("e1 + e1", s) == Multivector(s, (0, 2, 0, 0))
 
 
+# Every rejected input, with the offset of the token it is rejected at.
+_REJECTED = [
+    ("e21", 0),  # descending indices
+    ("e11", 0),  # repeated index
+    ("e3", 0),  # out of range
+    ("e0", 0),
+    ("1 + + 2", 4),
+    ("2 *", 2),
+    ("", 0),
+    (" ", 0),
+    ("1 ? 2", 2),
+    ("1 + $", 4),
+    ("+ + 2", 2),
+    ("1 2", 2),
+    ("e1e2", 2),
+    ("3 * 4", 2),
+    ("* e1", 0),
+    ("-", 0),
+    ("1 -", 2),
+    ("1/2/3", 3),
+    ("e1 *", 3),
+    ("2 * * e1", 2),
+    ("1e", 1),
+    ("e", 0),
+    ("1.", 1),
+    ("1.5e3", 3),  # 1.5 times e3, and e3 is out of range
+    ("1/0", None),
+]
+
+
 def test_parse_errors():
     s = Signature(2, 0)
-    with pytest.raises(ParseError):
-        parse_multivector("e21", s)  # descending indices
-    with pytest.raises(ParseError):
-        parse_multivector("e11", s)  # repeated index
-    with pytest.raises(ParseError):
-        parse_multivector("e3", s)  # out of range
-    with pytest.raises(ParseError):
-        parse_multivector("e0", s)
-    with pytest.raises(ParseError):
-        parse_multivector("1 + + 2", s)
-    with pytest.raises(ParseError):
-        parse_multivector("2 *", s)
-    with pytest.raises(ParseError):
-        parse_multivector("", s)
-    with pytest.raises(ParseError):
-        parse_multivector("1 ? 2", s)
-    with pytest.raises(ParseError) as err:
-        parse_multivector("1 + $", s)
-    assert err.value.position == 4
+    for text, position in _REJECTED:
+        with pytest.raises(ParseError) as err:
+            parse_multivector(text, s)
+        assert err.value.position == position, text
+    # Near misses that are accepted.
+    assert parse_multivector("5 e1", s).coeffs == (0, 5, 0, 0)
+    assert parse_multivector("2e1", s).coeffs == (0, 2, 0, 0)
+    assert parse_multivector("2e+1", s).coeffs == (20, 0, 0, 0)
+    assert parse_multivector("2.5e-2", s).coeffs == (Fraction(1, 40), 0, 0, 0)
 
 
 def test_print_parse_round_trip():
