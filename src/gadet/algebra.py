@@ -78,6 +78,13 @@ class Conjugation:
     kind: str
     j: int | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("grade_involution", "reversion", "delta", "bar"):
+            raise ValueError(f"unknown conjugation kind {self.kind!r}")
+        if (self.kind == "delta") != (type(self.j) is int and self.j >= 1):
+            wanted = "an integer j >= 1" if self.kind == "delta" else "no j"
+            raise ValueError(f"{self.kind} takes {wanted}, got j={self.j!r}")
+
     def __str__(self) -> str:
         if self.kind == "delta":
             return f"delta{self.j}"
@@ -101,9 +108,7 @@ def _grade_sign(conj: Conjugation, k: int) -> int:
         return -1 if (k * (k - 1) // 2) & 1 else 1
     if conj.kind == "delta":
         return -1 if math.comb(k, 2 ** (conj.j - 1)) & 1 else 1
-    if conj.kind == "bar":
-        return 1 if k == 0 else -1
-    raise ValueError(f"unknown conjugation kind {conj.kind!r}")
+    return 1 if k == 0 else -1  # bar
 
 
 def charpoly_degree(n: int) -> int:
@@ -190,7 +195,7 @@ class Signature:
         key = (conj.kind, conj.j)
         signs = self._conj_signs.get(key)
         if signs is None:
-            if conj.kind == "delta" and not 1 <= (conj.j or 0) <= self.m:
+            if conj.kind == "delta" and conj.j > self.m:
                 raise ValueError(
                     f"delta({conj.j}) is not defined for n = {self.n} (1 <= j <= {self.m})"
                 )
@@ -250,9 +255,7 @@ def _normalize_exact(c):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, bool):
-        return int(c)
-    if isinstance(c, int):
+    if isinstance(c, int):  # bool and other int subclasses
         return int(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 

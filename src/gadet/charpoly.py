@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Multivector, Scalar, Signature, close, exact_ratio
+from .algebra import (Multivector, Scalar, Signature, _normalize_exact, close,
+                      exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
 @dataclass(frozen=True, eq=False)
 class CharPoly:
     """Ordered coefficients C1..CN of phi_U.  Equality is Multivector's:
-    :func:`gadet.algebra.close` on each coefficient."""
+    :func:`gadet.algebra.close` on each coefficient.  Exact coefficients are
+    kept in normal form, an int when whole, whichever method made them."""
 
     sig: Signature
     coeffs: tuple[Scalar, ...]
@@ -37,6 +39,9 @@ class CharPoly:
                 f"expected {self.sig.N} coefficients for {self.sig}, "
                 f"got {len(self.coeffs)}"
             )
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, float) else _normalize_exact(c) for c in self.coeffs
+        ))
 
     @property
     def det(self) -> Scalar:

@@ -122,7 +122,7 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
 
 def _json_value(x):
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
+        return str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, Multivector):
@@ -310,12 +310,13 @@ def _cmd_check(args) -> int:
         for f in available_formulas(sig.n):
             dets[f"closed:{f.family}/{f.variant}"] = evaluate_det(f, u)
         if not _values_agree(list(dets.values())):
-            failures.append({"trial": trial, "kind": "det",
+            failures.append({"trial": trial, "kind": "det", "input": str(u),
                              "values": {m: _json_value(v) for m, v in dets.items()}})
         cps = {m: METHODS[m].charpoly(u) for m in _CHARPOLY_METHODS}
         for m, cp in cps.items():
             if cp != cps["fl"]:
-                failures.append({"trial": trial, "kind": "charpoly", "method": m})
+                failures.append({"trial": trial, "kind": "charpoly", "input": str(u),
+                                 "method": m})
     consistent = not failures
     payload = {
         "signature": [sig.p, sig.q], "method": "check",

@@ -76,12 +76,14 @@ class FormulaTerm:
     tree: Node
 
 
-def _slot_indices(node: Node) -> list[int]:
-    if isinstance(node, Slot):
-        return [node.index]
+def _nodes(node: Node):
+    """Every node of a tree, depth first, left to right."""
+    yield node
     if isinstance(node, Conj):
-        return _slot_indices(node.child)
-    return [i for f in node.factors for i in _slot_indices(f)]
+        yield from _nodes(node.child)
+    elif isinstance(node, Prod):
+        for factor in node.factors:
+            yield from _nodes(factor)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class DetFormula:
 
     Read with its N slots as separate variables it is the F-function
     F(x1, ..., xN).  Construction checks that every term uses slots 1..N
-    left to right and that the weights sum to 1.
+    left to right, that every delta(j) exists at this n, and that the
+    weights sum to 1.
     """
 
     n: int
@@ -100,12 +103,17 @@ class DetFormula:
     terms: tuple[FormulaTerm, ...]
 
     def __post_init__(self):
+        m = self.n.bit_length()
         for term in self.terms:
-            if _slot_indices(term.tree) != list(range(1, self.arity + 1)):
+            nodes = list(_nodes(term.tree))
+            slots = [node.index for node in nodes if isinstance(node, Slot)]
+            if slots != list(range(1, self.arity + 1)):
                 raise ValueError(
                     f"term of {self.family} n={self.n} does not use slots "
                     f"1..{self.arity} left to right"
                 )
+            if any(isinstance(node, Conj) and (node.conj.j or 0) > m for node in nodes):
+                raise ValueError(f"a delta(j) of {self.family} n={self.n} has j > {m}")
         if sum(t.weight for t in self.terms) != 1:
             raise ValueError(
                 f"weights of {self.family} n={self.n} do not sum to 1"
@@ -332,8 +340,7 @@ def _node_from_json(data: dict) -> Node:
     if op == "slot":
         return Slot(int(data["index"]))
     if op == "conjugation":
-        kind = data["kind"]
-        conj = Conjugation(kind, int(data["j"])) if kind == "delta" else Conjugation(kind)
+        conj = Conjugation(data["kind"], data.get("j"))
         return Conj(conj, _node_from_json(data["child"]))
     if op == "product":
         return Prod(tuple(_node_from_json(f) for f in data["factors"]))
@@ -354,11 +361,16 @@ def formula_to_json(formula: DetFormula) -> dict:
 
 
 def formula_from_json(data: dict) -> DetFormula:
-    terms = tuple(
-        FormulaTerm(Fraction(t["weight"]), _node_from_json(t["tree"]))
-        for t in data["terms"]
-    )
-    return DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
+    """The DetFormula a ``formula_to_json`` document describes; malformed
+    input, such as a missing key or an unknown conjugation, raises ValueError."""
+    try:
+        terms = tuple(
+            FormulaTerm(Fraction(t["weight"]), _node_from_json(t["tree"]))
+            for t in data["terms"]
+        )
+        return DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
+    except KeyError as exc:
+        raise ValueError(f"formula JSON lacks the key {exc}") from None
 
 
 def catalog_to_json() -> list[dict]:

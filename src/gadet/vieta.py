@@ -3,36 +3,33 @@
 A cataloged determinant formula, read with its N occurrences of U numbered
 left to right as separate variables, is the paper's N-variable F-function
 (``f_function`` returns the ``DetFormula`` itself).  Summing F over every
-tuple with k slots holding U and N-k slots holding the identity e, with sign
-(-1)**(k+1), yields C(k) -- the same coefficients the trace recursion
-produces, but derived from the highest coefficient downward.
+tuple with k slots holding U and N-k slots holding the identity e gives
+X(k), and C(k) = (-1)**(k+1) * X(k): the trace recursion's coefficients,
+derived from the highest one downward.  F is multilinear and each slot
+occurs once (``DetFormula`` checks this), so X(k) is the t**k coefficient of
+F(e + tU, ..., e + tU), a polynomial in a commuting scalar t.
+``formulas.evaluate_terms`` evaluates the term trees on it, so one pass
+gives every X(k).  C(N), the single all-U tuple, is evaluated directly.
 
-One evaluator computes these sums: it walks each term tree once and keeps,
-per subtree, the sum of its values over all assignments with i slots holding
-U, for every i (graded sums).  A product node convolves its children's
-graded sums, so every X(k) comes out of a single bottom-up pass instead of
-binom(N, k) separate tuple evaluations.  C(N) is the single all-U tuple and
-is evaluated directly.  The module also provides the ordered
-solution-set construction (x_k, v_k, y_k) for n <= 3 and the closed-form
-eigenvalue comparison for n <= 2.
+The ordered solution sets (x_k, v_k, y_k) for n <= 3 read the descending
+elementary sums E_k of y_1..y_N off (e + t y_N) ... (e + t y_1) the same
+way.  The module also holds the closed-form eigenvalue comparison for n <= 2.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import EIGEN_COMPARE_TOL, Multivector, Scalar
 from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
 from .errors import NotGenericError
 from .formulas import (
-    Conj,
     DetFormula,
-    Slot,
     _require_dimension,
     _require_scalar,
     det_formula,
+    evaluate_terms,
 )
 
 
@@ -43,53 +40,43 @@ def f_function(n: int, family: str = "triangle", variant: str = "standard") -> D
 
 
 # ---------------------------------------------------------------------------
-# graded-sum evaluation of F over every e/U slot assignment
+# polynomials in t with multivector coefficients
 
 
-def _graded_sums(node, u: Multivector, e: Multivector) -> list:
-    """Per-weight sums of a subtree over its slot assignments.
+class _Poly:
+    """P_0 + P_1 t + ... + P_d t**d for a scalar t that commutes with
+    everything; coeffs is [P_0, ..., P_d]."""
 
-    sums[i] is the sum of the subtree's values over all assignments with i
-    of its slots holding u.  Because the geometric product is bilinear, a
-    product node's sums are the convolution of its children's sums; this
-    accumulates exactly the same tuple sums as enumerating the 2**N
-    assignments one by one, just reassociated, at far fewer products.
-    DetFormula's construction check guarantees each slot occurs once.
-    """
-    if isinstance(node, Slot):
-        return [e, u]
-    if isinstance(node, Conj):
-        return [v.conjugate(node.conj) for v in _graded_sums(node.child, u, e)]
-    sums = _graded_sums(node.factors[0], u, e)
-    for factor in node.factors[1:]:
-        f_sums = _graded_sums(factor, u, e)
-        combined = [None] * (len(sums) + len(f_sums) - 1)
-        for i, left in enumerate(sums):
-            for j, right in enumerate(f_sums):
-                if i == 0:
-                    value = right  # weight-0 sum is exactly e
-                elif j == 0:
-                    value = left
-                else:
-                    value = left * right
-                k = i + j
-                combined[k] = value if combined[k] is None else combined[k] + value
-        sums = combined
-    return sums
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: list):
+        self.coeffs = coeffs
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):  # a scalar formula weight
+            return _Poly([c * other for c in self.coeffs])
+        # The left factor's coefficients stay on the left: the geometric
+        # product does not commute, t does.  A product with e is only a
+        # scale, since Multivector's product returns early for scalars.
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, left in enumerate(self.coeffs):
+            for j, right in enumerate(other.coeffs):
+                value = left * right
+                out[i + j] = value if out[i + j] is None else out[i + j] + value
+        return _Poly(out)
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        return _Poly([a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
+
+    def conjugate(self, conj) -> "_Poly":
+        return _Poly([c.conjugate(conj) for c in self.coeffs])
 
 
 def _x_sums(f: DetFormula, u: Multivector) -> list:
-    """[None, X(1), ..., X(N)]: the weighted sums of F over every tuple with
-    k slots holding u, for each k."""
-    e = u.sig.identity
-    N = f.arity
-    totals = [None] * (N + 1)
-    for term in f.terms:
-        sums = _graded_sums(term.tree, u, e)
-        for k in range(1, N + 1):
-            part = sums[k] * term.weight
-            totals[k] = part if totals[k] is None else totals[k] + part
-    return totals
+    """[X(0), X(1), ..., X(N)]: X(k) is the weighted sum of F over every
+    tuple with k slots holding u and the rest holding e."""
+    slot = _Poly([u.sig.identity, u])
+    return evaluate_terms(f.terms, (slot,) * f.arity).coeffs
 
 
 def _coefficient(f: DetFormula, k: int, x_k: Multivector) -> Scalar:
@@ -153,34 +140,21 @@ def _ordered_solutions(u: Multivector) -> tuple[Multivector, ...]:
     raise ValueError(f"ordered solution sets are implemented for n <= 3, not n={n}")
 
 
-def _elementary_descending(ys, j: int) -> Multivector:
-    """E_j: sum over index combinations of descending products y_ij ... y_i1."""
-    total = None
-    for combo in combinations(range(len(ys)), j):
-        product = ys[combo[-1]]
-        for i in reversed(combo[:-1]):
-            product = product * ys[i]
-        total = product if total is None else total + product
-    return total
-
-
 def gelfand_retakh_ys(u: Multivector) -> GelfandRetakhSet:
     """The (x_k, v_k, y_k) construction for n <= 3.
 
-    v_k is the degree-(k-1) polynomial x_k**(k-1) - E1*x_k**(k-2) + ... built
-    from the y's found so far; every v_k must be invertible (Det != 0) or
-    NotGenericError reports the failing k.
+    v_k = x_k**(k-1) - a_1 x_k**(k-2) - ... - a_(k-1), where a_j are
+    ``coefficients_from_roots`` of the y's found so far; every v_k must be
+    invertible (Det != 0) or NotGenericError reports the failing k.
     """
     xs = _ordered_solutions(u)
     e = u.sig.identity
     vs = [e]
     ys = [xs[0]]
-    for k in range(2, len(xs) + 1):
-        xk = xs[k - 1]
+    for k, xk in enumerate(xs[1:], start=2):
         vk = e
-        for j in range(1, k):
-            ej = _elementary_descending(ys, j)
-            vk = vk * xk + (-ej if j % 2 == 1 else ej)
+        for aj in coefficients_from_roots(ys):
+            vk = vk * xk - aj
         det = det_fl(vk)
         if det == 0:
             raise NotGenericError(k, det)
@@ -190,15 +164,16 @@ def gelfand_retakh_ys(u: Multivector) -> GelfandRetakhSet:
 
 
 def coefficients_from_roots(ys) -> tuple[Multivector, ...]:
-    """a_k = (-1)**(k+1) * sum of descending products of k distinct y's.
+    """a_k = (-1)**(k+1) * E_k, where E_k, the sum of descending products
+    y_ik ... y_i1 of k distinct y's, is the t**k coefficient of
+    (e + t y_N) ... (e + t y_1).
 
     For a valid ordered set these are scalar multivectors equal to C(k)."""
-    ys = tuple(ys)
-    out = []
-    for k in range(1, len(ys) + 1):
-        total = _elementary_descending(ys, k)
-        out.append(total if k % 2 == 1 else -total)
-    return tuple(out)
+    sums = _Poly([1])
+    for y in ys:
+        sums = _Poly([y.sig.identity, y]) * sums
+    return tuple(ek if k % 2 == 1 else -ek
+                 for k, ek in enumerate(sums.coeffs[1:], start=1))
 
 
 # ---------------------------------------------------------------------------

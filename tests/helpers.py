@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from gadet import Multivector, Signature, all_signatures, random_multivector
 
@@ -37,6 +38,18 @@ def vieta_by_masks(f, u, k: int, rng: random.Random | None = None):
     assert total.is_scalar(), f"X({k}) is not scalar: {total}"
     scalar = total.scalar_part()
     return scalar if k % 2 == 1 else -scalar
+
+
+def elementary_descending(ys, j: int):
+    """Reference E_j by the literal definition: the sum, over every index
+    combination i1 < ... < ij, of the descending product y_ij ... y_i1."""
+    total = None
+    for combo in combinations(range(len(ys)), j):
+        product = ys[combo[-1]]
+        for i in reversed(combo[:-1]):
+            product = product * ys[i]
+        total = product if total is None else total + product
+    return total
 
 
 def product_by_definition(u, v):

@@ -24,6 +24,7 @@ from gadet import (
     inverse,
 )
 from gadet import charpoly, matrix_rep
+from gadet.cli import METHODS
 from helpers import SIGNATURES, random_mvs
 
 
@@ -224,3 +225,17 @@ def test_charpoly_evaluate_scalars():
     # phi(x) = x**2 - C1 x - C2 for scalar arguments
     for x in (0, 1, Fraction(-5, 2)):
         assert cp.evaluate(x) == x * x - cp.coeffs[0] * x - cp.coeffs[1]
+
+
+def test_exact_coefficients_are_in_normal_form():
+    # An exact coefficient is an int when it is whole, else a Fraction; the
+    # Newton expansion in charpoly_interp once returned Fraction(0, 1) here.
+    s = Signature(1, 0)
+    pinned = charpoly_interp(Multivector(s, (Fraction(-1, 3), Fraction(-1, 3))))
+    assert [type(c) for c in pinned.coeffs] == [Fraction, int]
+    assert pinned.coeffs == (Fraction(-2, 3), 0)
+    for sig in SIGNATURES:
+        u = random_mvs(sig, 1, 61)[0] / 3
+        for method in ("fl", "vieta-triangle", "vieta-bar", "matrix", "interp"):
+            for c in METHODS[method].charpoly(u).coeffs:
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (sig, method, c)

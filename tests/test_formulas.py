@@ -200,6 +200,29 @@ def test_json_round_trip_and_schema():
     assert len(catalog) == sum(len(available_formulas(n)) for n in range(1, 7))
 
 
+def test_formula_json_rejects_malformed_input():
+    def find(node, kind):
+        if node.get("kind") == kind:
+            return node
+        children = node.get("factors") or [node.get("child")]
+        found = (find(c, kind) for c in children if c)
+        return next((c for c in found if c), None)
+
+    def malformed(n, kind, edit):
+        data = formula_to_json(det_formula(n))
+        edit(find(data["terms"][0]["tree"], kind))
+        return data
+
+    bad_inputs = [
+        malformed(1, "grade_involution", lambda conj: conj.update(kind="foo")),
+        malformed(6, "delta", lambda conj: conj.update(j=4)),  # n = 6 has delta1..3
+        malformed(6, "delta", lambda conj: conj.pop("j")),
+    ]
+    for data in bad_inputs:
+        with pytest.raises(ValueError):
+            formula_from_json(data)
+
+
 def test_format_formula_is_readable():
     text = format_formula(det_formula(4))
     assert text == "x1 * hat(tilde(x2)) * delta3(hat(x3) * tilde(x4))"

@@ -24,7 +24,8 @@ from gadet import (
     vieta_all,
     vieta_coefficient,
 )
-from helpers import SIGNATURES, random_mvs, subset_masks, vieta_by_masks
+from helpers import (SIGNATURES, elementary_descending, random_mvs, subset_masks,
+                     vieta_by_masks)
 
 
 def test_f_function_bodies_on_distinct_arguments():
@@ -219,6 +220,22 @@ def test_gr_n3_not_generic():
 def test_gr_rejects_large_n():
     with pytest.raises(ValueError):
         gelfand_retakh_ys(Signature(4, 0).identity)
+
+
+def test_coefficients_from_roots_match_descending_sums():
+    # Arbitrary non-commuting ys, not roots: a_k must still be the signed sum
+    # of descending products y_ij ... y_i1 over every index combination.
+    for sig in [Signature(3, 0), Signature(2, 2), Signature(6, 0)]:
+        for length in range(1, 5):
+            ys = random_mvs(sig, length, 60 + length)
+            expected = tuple(
+                elementary_descending(ys, k) * (1 if k % 2 == 1 else -1)
+                for k in range(1, length + 1)
+            )
+            assert coefficients_from_roots(ys) == expected
+            if length >= 2:
+                # Descending, not ascending: the order of the ys matters.
+                assert coefficients_from_roots(ys[::-1])[1] != expected[1]
 
 
 # -- eigenvalue comparison ----------------------------------------------------
