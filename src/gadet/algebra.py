@@ -25,8 +25,19 @@ sign(i, j) * e_(i^j), so output k of a*b is
 one numpy contraction of a against a dim x dim gather of b.  Each signature
 stores the table once, as indices into [b, -b], so no sign multiplies are
 needed.  Floats contract in float64.  Exact operands are first scaled to
-ints by their common denominators, contracted in object dtype (Python ints,
-so nothing overflows), then divided back once.
+ints by their common denominators, contracted, then divided back once.  The
+contraction runs in int64 when
+
+    max|a_i| * max|b_j| * 2**n < 2**63,
+
+else in object dtype (Python ints, which cannot overflow).  The bound is
+sufficient: each c_k, and each partial sum on the way to it, is a sum of at
+most 2**n products a_i * b_j, none larger in magnitude than
+max|a_i| * max|b_j|, so no int64 intermediate leaves [-(2**63 - 1), 2**63 - 1].
+
+Exact +, - and scaling keep normal form (an int when whole) and skip the
+normalising pass when every result coefficient is an int, which holds
+unless a Fraction took part.
 
 Every float tolerance of the package is defined here.  :func:`close` is the
 one scalar agreement rule; multivector and characteristic-polynomial
@@ -39,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 import numpy as np
@@ -133,7 +144,7 @@ class Signature:
 
     __slots__ = (
         "p", "q", "n", "N", "m", "dim", "eta", "grades",
-        "_gather", "_conj_signs", "_identity", "_zero",
+        "_gather", "_square_signs", "_conj_signs", "_identity", "_zero",
     )
 
     def __new__(cls, p: int, q: int) -> "Signature":
@@ -165,6 +176,8 @@ class Signature:
         sign = np.array([[self._blade_product(i, j)[1] for j in row]
                          for i, row in enumerate(xor.tolist())])
         self._gather = xor + self.dim * (sign < 0)
+        # sign[i, 0] is the sign of e_i * e_i.
+        self._square_signs = tuple(sign[:, 0].tolist())
         self._conj_signs = {}
         self._identity = None
         self._zero = None
@@ -443,14 +456,25 @@ class Multivector:
                 f"operands from different algebras: {self.sig} vs {other.sig}"
             )
 
+    def _result(self, coeffs, other_is_float: bool) -> "Multivector":
+        # Internal: coefficients computed from self and another operand.  A
+        # float result goes through __init__'s range check.  Exact operands
+        # are in normal form, so only a Fraction result can be whole.
+        if self._float or other_is_float:
+            return Multivector(self.sig, coeffs)
+        coeffs = tuple(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            coeffs = tuple(map(_normalize_exact, coeffs))
+        return Multivector._raw(self.sig, coeffs, False)
+
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector(self.sig, map(add, self.coeffs, other.coeffs))
+            return self._result(map(add, self.coeffs, other.coeffs), other._float)
         if isinstance(other, (int, Fraction, float)):
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] + other
-            return Multivector(self.sig, coeffs)
+            return self._result(coeffs, isinstance(other, float))
         return NotImplemented
 
     __radd__ = __add__
@@ -458,11 +482,11 @@ class Multivector:
     def __sub__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector(self.sig, map(sub, self.coeffs, other.coeffs))
+            return self._result(map(sub, self.coeffs, other.coeffs), other._float)
         if isinstance(other, (int, Fraction, float)):
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] - other
-            return Multivector(self.sig, coeffs)
+            return self._result(coeffs, isinstance(other, float))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -476,7 +500,7 @@ class Multivector:
     def _scale(self, s: Scalar) -> "Multivector":
         if type(s) is int and s == 1:
             return self
-        return Multivector(self.sig, (s * c for c in self.coeffs))
+        return self._result([s * c for c in self.coeffs], isinstance(s, float))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -508,6 +532,7 @@ class Multivector:
             return self._scale(b[0])
         is_float = self._float or other._float
         den = 1
+        dtype = float
         if not is_float:
             # Factor out the (small) common denominators, contract in plain
             # int arithmetic, divide back once.
@@ -518,8 +543,11 @@ class Multivector:
             if db != 1:
                 b = tuple(int(c * db) for c in b)
             den = da * db
-        a = np.array(a, float if is_float else object)
-        b = np.array(b, a.dtype)
+            # The int64 bound of the module docstring.
+            bound = max(map(abs, a)) * max(map(abs, b)) << sig.n
+            dtype = np.int64 if bound < 1 << 63 else object
+        a = np.array(a, dtype)
+        b = np.array(b, dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             prod = a @ np.concatenate((b, -b))[sig._gather]
         if is_float and not np.isfinite(prod).all():
@@ -529,6 +557,19 @@ class Multivector:
         if den != 1:
             coeffs = [exact_ratio(c, den) for c in coeffs]
         return Multivector._raw(sig, tuple(coeffs), is_float)
+
+    def _scalar_product(self, other: "Multivector") -> Scalar:
+        # Internal: <self * other>_0 = sum_A sign(A, A) * self_A * other_A,
+        # without the rest of the product.  A float result outside the double
+        # range raises FloatRangeError, as the product does.
+        terms = map(mul, self.coeffs, other.coeffs)
+        total = sum(t if s > 0 else -t for s, t in zip(self.sig._square_signs, terms))
+        if not (self._float or other._float):
+            return _normalize_exact(total)
+        if not math.isfinite(total):
+            raise FloatRangeError("a float geometric product is outside the "
+                                  "double range (inf or nan)")
+        return total
 
     # -- comparison --------------------------------------------------------
 

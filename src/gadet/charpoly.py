@@ -9,8 +9,10 @@ with N = 2**floor((n+1)/2), so C1 = Tr(U) and Det(U) = -CN.  The recursion
 
     U1 = U,   Ck = (N/k) * <Uk>_0,   U(k+1) = U * (Uk - Ck)
 
-produces every Ck in N geometric products and is the reference method for
-all n; it also yields the adjugate as C(N-1)*e - U(N-1).
+produces every Ck in N - 1 geometric products and one scalar part, since
+CN = <U * (U(N-1) - C(N-1))>_0 is a dot product over the blades.  It is the
+reference method for all n; it also yields the adjugate as
+C(N-1)*e - U(N-1).
 """
 
 from __future__ import annotations
@@ -88,20 +90,20 @@ def _fl_run(u: Multivector):
     N = sig.N
     coeffs = []
     uk = u
-    u_penult = None
-    c_penult = None
+    sp = u.scalar_part()
     for k in range(1, N + 1):
-        sp = uk.scalar_part()
         if u.is_float:
             ck = (N / k) * sp
         else:
             ck = exact_ratio(N * sp, k)
         coeffs.append(ck)
-        if k == N:
-            break
         if k == N - 1:
             u_penult, c_penult = uk, ck
-        uk = u * (uk - ck)
+            # CN needs only <UN>_0, a dot product; UN itself is never used.
+            sp = u._scalar_product(uk - ck)
+        elif k < N - 1:
+            uk = u * (uk - ck)
+            sp = uk.scalar_part()
     return coeffs, u_penult, c_penult
 
 

@@ -33,7 +33,9 @@ from .algebra import (
     Conjugation,
     Multivector,
     Scalar,
+    _normalize_exact,
     charpoly_degree,
+    common_denominator,
     delta,
 )
 from .errors import ConsistencyError
@@ -72,8 +74,14 @@ Node = Union[Slot, Conj, Prod]
 
 @dataclass(frozen=True)
 class FormulaTerm:
-    weight: Fraction
+    """A weighted term tree; the weight is kept in normal form, an int when
+    whole."""
+
+    weight: int | Fraction
     tree: Node
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _normalize_exact(self.weight))
 
 
 def _nodes(node: Node):
@@ -210,7 +218,7 @@ def _read_formula(n: int, family: str, variant: str, text: str) -> DetFormula:
 
     terms = []
     while True:
-        weight = Fraction(1)
+        weight = 1
         if tokens[-1][0].isdigit():
             weight = Fraction(tokens.pop())
             expect("*")
@@ -270,12 +278,15 @@ def _eval_node(node: Node, values: Sequence[Multivector]) -> Multivector:
 def evaluate_terms(
     terms: Sequence[FormulaTerm], values: Sequence[Multivector]
 ) -> Multivector:
-    """The weighted sum of term trees on explicit per-slot values."""
+    """The weighted sum of term trees on explicit per-slot values.  Each term
+    is scaled by an integer, its weight times the weights' common
+    denominator, and the sum is divided by that denominator once."""
+    den = common_denominator(term.weight for term in terms)
     total = None
     for term in terms:
-        contribution = _eval_node(term.tree, values) * term.weight
+        contribution = _eval_node(term.tree, values) * int(term.weight * den)
         total = contribution if total is None else total + contribution
-    return total
+    return total if den == 1 else total / den
 
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:

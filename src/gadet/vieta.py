@@ -65,6 +65,9 @@ class _Poly:
                 out[i + j] = value if out[i + j] is None else out[i + j] + value
         return _Poly(out)
 
+    def __truediv__(self, scalar) -> "_Poly":
+        return _Poly([c / scalar for c in self.coeffs])
+
     def __add__(self, other: "_Poly") -> "_Poly":
         return _Poly([a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
 

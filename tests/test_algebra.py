@@ -87,6 +87,46 @@ def test_product_matches_its_definition_on_every_signature():
             assert all(map(close, got.coeffs, product_by_definition(a, b).coeffs))
 
 
+def test_int64_guard_is_exact_at_its_boundary():
+    # a = c * (1, ..., 1) and b_A = sign(A, A) * c give <a * b>_0 = 2**n * c**2,
+    # the guard's bound max|a| * max|b| * 2**n itself.  c = 2**28 reaches
+    # 2**62 in int64; c = 3 * 2**27 reaches 9 * 2**60 > 2**63, so the guard
+    # must send it to object dtype.  The rational operand, with denominator 5,
+    # scales back to the same integer magnitudes.
+    for sig in (Signature(6, 0), Signature(3, 3), Signature(0, 6)):
+        squares = [sig._blade_product(i, i)[1] for i in range(sig.dim)]
+        for c in (2 ** 28, 3 * 2 ** 27):
+            a = Multivector(sig, [c] * sig.dim)
+            b = Multivector(sig, [s * c for s in squares])
+            rational = Multivector(sig, [Fraction(c, 5)] * sig.dim)
+            for x, y in ((a, b), (b, a), (rational, b), (b, rational)):
+                assert (x * y).coeffs == product_by_definition(x, y).coeffs
+            assert (a * b).scalar_part() == sig.dim * c * c
+
+
+def test_exact_arithmetic_keeps_normal_form():
+    r = random.Random(4)
+    for sig in SIGNATURES:
+        halves = Multivector(sig, (Fraction(2 * r.randint(-9, 9) + 1, 2)
+                                   for _ in range(sig.dim)))
+        third = Multivector(sig, (Fraction(1, 3),) + (1,) * (sig.dim - 1))
+        u, x = random_mvs(sig, 2, 4)
+        whole = [halves + halves, halves - (-halves), 2 * halves, halves * 2,
+                 3 * third, third * 3, halves.grade(0) + Fraction(1, 2),
+                 u + u * Fraction(1, 2) - u * Fraction(3, 2)]
+        for value in whole:
+            assert all(type(c) is int for c in value.coeffs), value.coeffs
+        assert (halves + halves).coeffs == tuple(2 * c for c in halves.coeffs)
+        assert (3 * third).coeffs == (1,) + (3,) * (sig.dim - 1)
+        # The last trace-recursion step reads <u * x>_0 without the product.
+        rational = halves * Fraction(1, 3) + x
+        for left, right in ((u, x), (rational, u), (halves, rational)):
+            assert left._scalar_product(right) == (left * right).scalar_part()
+            assert type(left._scalar_product(right)) is type((left * right).scalar_part())
+        xf, yf = random_mvs(sig, 2, 4, float_backend=True)
+        assert close(xf._scalar_product(yf), (xf * yf).scalar_part())
+
+
 def test_signature_mismatch_raises():
     a = Signature(2, 0).identity
     b = Signature(1, 1).identity

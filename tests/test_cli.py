@@ -56,6 +56,19 @@ def test_parse_exponent_needs_sign():
     assert parse_multivector("2.5e-2", s) == Multivector(s, (Fraction(1, 40), 0))
 
 
+def test_expression_may_start_with_a_sign(capsys):
+    assert run(capsys, "det", "--sig", "2,0", "-e1") == (0, "-1\n", "")
+    assert run(capsys, "det", "-e12+e1", "--sig", "2,0") == (0, "0\n", "")
+    assert run(capsys, "det", "--sig", "2,0", "--", "-e1") == (0, "-1\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "--sig", "2,0", "--foo", "e1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "-h"])
+    assert exc.value.code == 0
+    assert "expression" in capsys.readouterr().out
+
+
 def test_parse_repeated_terms_accumulate():
     s = Signature(2, 0)
     assert parse_multivector("e1 + e1", s) == Multivector(s, (0, 2, 0, 0))
@@ -247,6 +260,20 @@ def test_bench_command(capsys):
         "matrix", "interp",
     ]
     assert all(v >= 0 for v in payload["ms_per_det"].values())
+
+
+def test_bench_warms_up_each_method(capsys, monkeypatch):
+    from gadet import cli
+
+    calls = dict.fromkeys(cli.METHODS, 0)
+    for name, spec in list(cli.METHODS.items()):
+        def counted(u, name=name, det=spec.det):
+            calls[name] += 1
+            return det(u)
+        monkeypatch.setitem(cli.METHODS, name, spec._replace(det=counted))
+    code, _, _ = run(capsys, "bench", "--sig", "2,0", "--trials", "3")
+    assert code == 0
+    assert calls == dict.fromkeys(cli.METHODS, 4)
 
 
 def test_formulas_command(capsys):

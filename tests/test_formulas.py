@@ -195,7 +195,12 @@ def test_json_round_trip_and_schema():
             assert set(data) == {"n", "family", "variant", "terms"}
             for term in data["terms"]:
                 assert set(term) == {"weight", "tree"}
-            assert formula_from_json(data) == f
+            back = formula_from_json(data)
+            assert back == f
+            for term in f.terms + back.terms:
+                # Weights are kept in normal form: an int when whole.
+                whole = term.weight.denominator == 1
+                assert type(term.weight) is (int if whole else Fraction)
     catalog = catalog_to_json()
     assert len(catalog) == sum(len(available_formulas(n)) for n in range(1, 7))
 
