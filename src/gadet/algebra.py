@@ -24,9 +24,11 @@ sign(i, j) * e_(i^j), so output k of a*b is
 
 one numpy contraction of a against a dim x dim gather of b.  Each signature
 stores the table once, as indices into [b, -b], so no sign multiplies are
-needed.  Floats contract in float64.  Exact operands are first scaled to
-ints by their common denominators, contracted, then divided back once.  The
-contraction runs in int64 when
+needed; ``Signature._right_factors`` gathers a whole stack of right factors
+at once, as the trace recursion in ``charpoly`` does.  Floats contract in
+float64.  Exact operands are first scaled to ints by their common
+denominators, contracted, then divided back once.  The contraction runs in
+int64 when
 
     max|a_i| * max|b_j| * 2**n < 2**63,
 
@@ -50,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Union
 
 import numpy as np
@@ -176,11 +178,18 @@ class Signature:
         sign = np.array([[self._blade_product(i, j)[1] for j in row]
                          for i, row in enumerate(xor.tolist())])
         self._gather = xor + self.dim * (sign < 0)
-        # sign[i, 0] is the sign of e_i * e_i.
-        self._square_signs = tuple(sign[:, 0].tolist())
+        # sign[i, 0] is the sign of e_i * e_i, as a column: a stack of rows
+        # times it gives each row's sum_i sign(i, i) * x_i.
+        self._square_signs = sign[:, :1]
         self._conj_signs = {}
         self._identity = None
         self._zero = None
+
+    def _right_factors(self, b: np.ndarray) -> np.ndarray:
+        """The product's gather of b: for b of shape (..., dim), R of shape
+        (..., dim, dim) with a @ R[r] = a * b[r], the coefficients of the
+        geometric product with b[r] on the right."""
+        return np.concatenate((b, -b), axis=-1)[..., self._gather]
 
     def _blade_product(self, a: int, b: int) -> tuple[int, int]:
         """Product of basis blades a and b: result mask and sign.
@@ -549,7 +558,7 @@ class Multivector:
         a = np.array(a, dtype)
         b = np.array(b, dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = a @ np.concatenate((b, -b))[sig._gather]
+            prod = a @ sig._right_factors(b)
         if is_float and not np.isfinite(prod).all():
             raise FloatRangeError("a float geometric product is outside the "
                                   "double range (inf or nan)")
@@ -557,19 +566,6 @@ class Multivector:
         if den != 1:
             coeffs = [exact_ratio(c, den) for c in coeffs]
         return Multivector._raw(sig, tuple(coeffs), is_float)
-
-    def _scalar_product(self, other: "Multivector") -> Scalar:
-        # Internal: <self * other>_0 = sum_A sign(A, A) * self_A * other_A,
-        # without the rest of the product.  A float result outside the double
-        # range raises FloatRangeError, as the product does.
-        terms = map(mul, self.coeffs, other.coeffs)
-        total = sum(t if s > 0 else -t for s, t in zip(self.sig._square_signs, terms))
-        if not (self._float or other._float):
-            return _normalize_exact(total)
-        if not math.isfinite(total):
-            raise FloatRangeError("a float geometric product is outside the "
-                                  "double range (inf or nan)")
-        return total
 
     # -- comparison --------------------------------------------------------
 

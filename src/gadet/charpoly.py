@@ -7,12 +7,30 @@ For U in G(p, q) the characteristic polynomial is written
 
 with N = 2**floor((n+1)/2), so C1 = Tr(U) and Det(U) = -CN.  The recursion
 
-    U1 = U,   Ck = (N/k) * <Uk>_0,   U(k+1) = U * (Uk - Ck)
+    U1 = U,   Ck = (N/k) * <Uk>_0,   U(k+1) = (Uk - Ck) * U
 
-produces every Ck in N - 1 geometric products and one scalar part, since
-CN = <U * (U(N-1) - C(N-1))>_0 is a dot product over the blades.  It is the
-reference method for all n; it also yields the adjugate as
-C(N-1)*e - U(N-1).
+produces every Ck in N - 2 geometric products and one scalar part, since
+CN = <(U(N-1) - C(N-1)) * U>_0 is a dot product over the blades.  Each Uk is
+a polynomial in U, so multiplying by U on the right equals the paper's
+U * (Uk - Ck), and the right factor U stays fixed: its gather through the
+product table is built once per run.  It is the reference method for all n;
+it also yields the adjugate as C(N-1)*e - U(N-1).
+
+The recursion runs on a stack of rows at once (one row for ``det_fl`` and
+friends, N + 1 samples for ``charpoly_interp``), and never on fractions.  An
+exact input is scaled once, U = V/D with D = ``common_denominator(U)`` and V
+an integer vector.  Ck and Uk are homogeneous of degree k in U, so
+
+    Ck(U) = Ck(V) / D**k,    Adj(U) = (C(N-1)(V)*e - V(N-1)) / D**(N-1),
+
+and the division happens once, at the end.  For an integer V every Ck(V)
+is an integer: it is a characteristic coefficient of the Gaussian-integer
+matrix beta(V) of the matrix representation, and it is real.  So every
+step stays in ints; a Ck that is not an integer is an error
+(ConsistencyError), never a silent fall back to fractions.  Each step runs
+in int64 under the product's bound from the ``algebra`` docstring,
+max|Uk - Ck| * max|V| * 2**n < 2**63, and in object dtype otherwise.
+Float rows run the same loop in float64.
 """
 
 from __future__ import annotations
@@ -21,8 +39,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import (Multivector, Scalar, Signature, _normalize_exact, close,
-                      exact_ratio)
+                      common_denominator, exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
@@ -84,55 +104,120 @@ class CharPoly:
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
-def _fl_run(u: Multivector):
-    """One pass of the recursion: all Ck plus (U(N-1), C(N-1))."""
-    sig = u.sig
+def _integer_row(u: Multivector) -> tuple[list, int]:
+    """(V, D) with u = V / D: V integer coefficients, D = common_denominator.
+    A float input is taken at its exact binary value, so D is a power of two;
+    an inf or nan coefficient raises FloatRangeError."""
+    coeffs = u.to_exact().coeffs
+    d = common_denominator(coeffs)
+    if d == 1:
+        return list(coeffs), 1
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _fl_stack(sig: Signature, rows: list, is_float: bool):
+    """The recursion on a stack of B rows, each the coefficients of one
+    multivector V: float rows in float64, integer rows in int64 or object.
+    Returns ([C1 of each row, ..., CN of each row], W) with W the (B, 2**n)
+    array of V(N-1) - C(N-1)*e, the negated adjugate."""
     N = sig.N
+    if is_float:
+        v = np.array(rows, np.float64)
+    else:
+        v_max = max(1, max(max(map(abs, row)) for row in rows))
+        v = np.array(rows, np.int64 if v_max < 1 << 63 else object)
+    vs = {v.dtype: v}  # V in each dtype the loop has used
+    right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
     coeffs = []
-    uk = u
-    sp = u.scalar_part()
-    for k in range(1, N + 1):
-        if u.is_float:
-            ck = (N / k) * sp
-        else:
-            ck = exact_ratio(N * sp, k)
-        coeffs.append(ck)
-        if k == N - 1:
-            u_penult, c_penult = uk, ck
-            # CN needs only <UN>_0, a dot product; UN itself is never used.
-            sp = u._scalar_product(uk - ck)
-        elif k < N - 1:
-            uk = u * (uk - ck)
-            sp = uk.scalar_part()
-    return coeffs, u_penult, c_penult
+    w = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, N + 1):
+            if is_float:
+                ck = (N / k) * w[:, 0]
+                coeffs.append(ck.tolist())
+                if k == N:
+                    break
+                w = w.copy()
+                w[:, 0] -= ck
+            else:
+                sp = w[:, 0].tolist()
+                ck = []
+                for s in sp:
+                    c, rem = divmod(N * s, k)
+                    if rem:
+                        raise ConsistencyError(
+                            f"C{k} = {N * s}/{k} of an integer row is not an integer")
+                    ck.append(c)
+                coeffs.append(ck)
+                if k == N:
+                    break
+                col = [s - c for s, c in zip(sp, ck)]
+                w_max = max(1, int(np.abs(w).max()), *map(abs, col))
+                # The int64 bound of the algebra module docstring, for the
+                # product or the dot product below.
+                w = w.astype(np.int64 if w_max * v_max << sig.n < 1 << 63 else object)
+                w[:, 0] = col
+            dtype = w.dtype
+            if dtype not in vs:
+                vs[dtype] = v.astype(dtype)
+            if k == N - 1:
+                # CN needs only <UN>_0, a dot product over the blades.
+                penult = w
+                w = (w * vs[dtype]) @ sig._square_signs
+            else:
+                # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
+                if dtype not in right:
+                    right[dtype] = sig._right_factors(vs[dtype])
+                w = (w[:, None, :] @ right[dtype])[:, 0, :]
+            if is_float and not np.isfinite(w).all():
+                raise FloatRangeError("a float geometric product is outside the "
+                                      "double range (inf or nan)")
+    return coeffs, penult
+
+
+def _fl_run(u: Multivector):
+    """The recursion on one multivector u = V / D: (C1(V), ..., CN(V)),
+    the coefficients of W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in
+    float64 with D = 1."""
+    row, d = (u.coeffs, 1) if u.is_float else _integer_row(u)
+    coeffs, w = _fl_stack(u.sig, [row], u.is_float)
+    return [c[0] for c in coeffs], w[0].tolist(), d
+
+
+def _divide(num, den):
+    """num / den, in normal form when both are ints."""
+    if type(num) is float:
+        return num / den
+    return num if den == 1 else exact_ratio(num, den)
 
 
 def fl_coefficients(u: Multivector) -> CharPoly:
     """All characteristic coefficients of u by the trace recursion."""
-    coeffs, _, _ = _fl_run(u)
-    return CharPoly(u.sig, tuple(coeffs))
+    coeffs, _, d = _fl_run(u)
+    return CharPoly(u.sig, tuple(_divide(c, d ** k) for k, c in enumerate(coeffs, 1)))
 
 
 def det_fl(u: Multivector) -> Scalar:
     """Det(u) = -CN via the trace recursion."""
-    coeffs, _, _ = _fl_run(u)
-    return -coeffs[-1]
+    coeffs, _, d = _fl_run(u)
+    return _divide(-coeffs[-1], d ** u.sig.N)
 
 
 def adjugate(u: Multivector) -> Multivector:
     """Adj(u) = C(N-1)*e - U(N-1), so that u*Adj(u) = Adj(u)*u = Det(u)*e."""
-    _, u_penult, c_penult = _fl_run(u)
-    return u_penult.sig.identity._scale(c_penult) - u_penult
+    _, w, d = _fl_run(u)
+    scale = d ** (u.sig.N - 1)
+    return Multivector(u.sig, [_divide(-x, scale) for x in w])
 
 
 def inverse(u: Multivector) -> Multivector:
     """u**-1 = Adj(u) / Det(u); raises NotInvertibleError when Det(u) = 0."""
-    coeffs, u_penult, c_penult = _fl_run(u)
+    coeffs, w, d = _fl_run(u)
     det = -coeffs[-1]
     if det == 0:
         raise NotInvertibleError(det)
-    adj = u.sig.identity._scale(c_penult) - u_penult
-    return adj / det
+    # Adj(u) / Det(u) = (-W / D**(N-1)) / (det / D**N) = -W * D / det.
+    return Multivector(u.sig, [_divide(-x * d, det) for x in w])
 
 
 def _newton_interpolate(nodes: Sequence, values: Sequence):
@@ -156,27 +241,36 @@ def _newton_interpolate(nodes: Sequence, values: Sequence):
     return poly
 
 
-def charpoly_interp(u: Multivector) -> CharPoly:
-    """Characteristic coefficients by sampling D(x) = Det(x*e - u) with
-    ``det_fl`` at the integer nodes x = 0..N and reconstructing the polynomial
-    exactly; the result must match ``fl_coefficients(u)``.
+def _sample_dets(sig: Signature, rows) -> list:
+    """Det of each integer row, from one run of the recursion on the stack."""
+    coeffs, _ = _fl_stack(sig, rows, False)
+    return [-c for c in coeffs[-1]]
 
-    A float input is taken at the exact binary value of its coefficients, so
-    every sample is exact and each C(k) is rounded to float once, at the end.
-    An inf or nan input coefficient, or a C(k) outside the double range,
-    raises FloatRangeError.
+
+def charpoly_interp(u: Multivector) -> CharPoly:
+    """Characteristic coefficients by sampling Det(x*e - u) at the integer
+    nodes x = 0..N and reconstructing the polynomial exactly; the result must
+    match ``fl_coefficients(u)``.
+
+    With u = V/D, Det(x*e - u) = Det(x*D*e - V) / D**N: the N + 1 samples
+    are integer rows of one stack through the recursion, and the
+    interpolated coefficients are divided by D**N once.  A float input is
+    taken at the exact binary value of its coefficients, so every sample is
+    exact and each C(k) is rounded to float once, at the end.  An inf or nan
+    input coefficient, or a C(k) outside the double range, raises
+    FloatRangeError.
     """
     sig = u.sig
     N = sig.N
-    e = sig.identity
-    exact = u.to_exact()
+    v, d = _integer_row(u)
     nodes = list(range(N + 1))
-    values = [det_fl(e._scale(x) - exact) for x in nodes]
-    poly = _newton_interpolate(nodes, values)
-    lead = poly[N]
+    rows = [[x * d - v[0]] + [-c for c in v[1:]] for x in nodes]
+    poly = _newton_interpolate(nodes, _sample_dets(sig, rows))
+    scale = d ** N
+    lead = exact_ratio(poly[N], scale)
     if lead != 1:
         raise ConsistencyError(
             f"interpolated polynomial is not monic (leading coefficient {lead})"
         )
-    cp = CharPoly(sig, tuple(-poly[N - k] for k in range(1, N + 1)))
+    cp = CharPoly(sig, tuple(exact_ratio(-poly[N - k], scale) for k in range(1, N + 1)))
     return cp.to_float() if u.is_float else cp

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -211,9 +212,12 @@ def test_charpoly_equality_follows_multivector_rule():
 
 def test_charpoly_interp_flags_bad_determinant_function(monkeypatch):
     # A determinant routine that is not a degree-N polynomial in lambda
-    # cannot interpolate to a monic result.
+    # cannot interpolate to a monic result.  Every sample goes through
+    # charpoly._sample_dets; squaring its values breaks the degree.
     u = random_mvs(Signature(2, 0), 1, 30)[0]
-    monkeypatch.setattr(charpoly, "det_fl", lambda mv: det_fl(mv) ** 2)
+    sample_dets = charpoly._sample_dets
+    monkeypatch.setattr(charpoly, "_sample_dets",
+                        lambda sig, rows: [d ** 2 for d in sample_dets(sig, rows)])
     with pytest.raises(ConsistencyError):
         charpoly_interp(u)
 
@@ -239,3 +243,82 @@ def test_exact_coefficients_are_in_normal_form():
         for method in ("fl", "vieta-triangle", "vieta-bar", "matrix", "interp"):
             for c in METHODS[method].charpoly(u).coeffs:
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (sig, method, c)
+
+
+def _same(a, b):
+    """Literal equality with the same types, coefficient by coefficient."""
+    return a == b and list(map(type, a)) == list(map(type, b))
+
+
+def test_scaled_recursion_is_exact_across_the_int64_guard():
+    # u = V / D runs on the integer row V and divides once at the end.  The
+    # inputs below start inside the int64 bound and leave it partway through
+    # the recursion (12-bit numerators), or start outside it (three mixed
+    # denominators make V exceed 2**63), so both dtypes and the switch
+    # between them are compared with the matrix oracle.
+    r = random.Random(11)
+    dens = (2 ** 40, 3 * 7 * 11 * 13, 10 ** 18 + 9)
+    for sig in (Signature(6, 0), Signature(3, 3), Signature(0, 6), Signature(2, 1)):
+        e = sig.identity
+        inputs = [Multivector(sig, (Fraction(r.randint(-2 ** 12, 2 ** 12), den)
+                                    for _ in range(sig.dim))) for den in dens]
+        inputs.append(Multivector(sig, (Fraction(r.choice((-1, 1)) * r.randint(1, 9),
+                                                 dens[j % 3] if j < 3 else r.choice(dens))
+                                        for j in range(sig.dim))))
+        inputs.append(Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
+                                        for _ in range(sig.dim))))
+        for i, u in enumerate(inputs):
+            v, d = charpoly._integer_row(u)
+            v_max = max(map(abs, v))
+            if i < 3 and sig.n == 6:
+                assert v_max ** 2 << sig.n < 2 ** 63 <= abs(det_fl(u)) * d ** sig.N
+            if i == 3:
+                assert v_max >= 2 ** 63
+            det = det_fl(u)
+            assert _same([det], [det_matrix(u)])
+            cp = charpoly_matrix(u)
+            assert _same(fl_coefficients(u).coeffs, cp.coeffs)
+            assert _same(charpoly_interp(u).coeffs, cp.coeffs)
+            assert u * adjugate(u) == det * e
+            assert u * inverse(u) == e
+
+
+def test_stack_int64_guard_is_exact_at_its_boundary():
+    # The recursion's bound is max|W| * max|V| * 2**n < 2**63.  G(0,1)'s
+    # last step attains it: V = c + c*e1 gives CN = <(V - 2c) * V>_0 = -2c**2,
+    # which is -2**63 at c = 2**31 and beyond int64 at c = 3 * 2**30.  In
+    # G(0,3), V below has a first product of 6c**2 against a bound of 8c**2;
+    # the c chosen puts 2**63 < 6c**2 < 8c**2 < 2**64.
+    for c in (2 ** 31 - 1, 2 ** 31, 3 * 2 ** 30):
+        u = Multivector(Signature(0, 1), (c, c))
+        assert det_fl(u) == det_matrix(u) == 2 * c * c
+    c = 5 * 2 ** 28
+    u = Multivector(Signature(0, 3), (0, c, c, c, c, -c, c, c))
+    assert 2 ** 63 < 6 * c * c < 8 * c * c < 2 ** 64
+    assert det_fl(u) == det_matrix(u)
+    assert fl_coefficients(u) == charpoly_matrix(u)
+
+
+def test_interp_stack_with_rows_of_different_dtypes():
+    # One stack through the recursion: a row that stays in int64, one that
+    # leaves it partway and one that starts beyond it.  Each sample must be
+    # the row's own determinant.
+    sig = Signature(3, 2)
+    r = random.Random(12)
+    rows = [[r.randint(-9, 9) for _ in range(sig.dim)],
+            [r.randint(-2 ** 20, 2 ** 20) for _ in range(sig.dim)],
+            [r.randint(-2 ** 70, 2 ** 70) for _ in range(sig.dim)]]
+    dets = charpoly._sample_dets(sig, rows)
+    assert dets == [det_matrix(Multivector(sig, row)) for row in rows]
+    assert all(type(d) is int for d in dets)
+
+
+def test_recursion_refuses_a_non_integer_coefficient(monkeypatch):
+    # For an integer row every C(k) is an integer; a broken product table
+    # must raise, not fall back to fractions.
+    right_factors = Signature._right_factors
+    monkeypatch.setattr(Signature, "_right_factors",
+                        lambda self, b: right_factors(self, b) + 1)
+    u = Multivector(Signature(3, 0), range(1, 9))
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        det_fl(u)

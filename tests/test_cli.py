@@ -276,6 +276,27 @@ def test_bench_warms_up_each_method(capsys, monkeypatch):
     assert calls == dict.fromkeys(cli.METHODS, 4)
 
 
+def test_check_runs_interp_once_per_trial(capsys, monkeypatch):
+    from gadet import cli
+
+    calls = {"det": 0, "charpoly": 0}
+    spec = cli.METHODS["interp"]
+
+    def det(u):
+        calls["det"] += 1
+        return spec.det(u)
+
+    def charpoly(u):
+        calls["charpoly"] += 1
+        return spec.charpoly(u)
+
+    monkeypatch.setitem(cli.METHODS, "interp", cli.Method(det, charpoly))
+    code, _, _ = run(capsys, "check", "--sig", "3,0", "--trials", "3")
+    assert code == 0
+    # interp's determinant is read off its own characteristic polynomial.
+    assert calls == {"det": 0, "charpoly": 3}
+
+
 def test_formulas_command(capsys):
     code, out, _ = run(capsys, "formulas", "--n", "6")
     payload = json.loads(out)

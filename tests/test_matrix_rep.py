@@ -19,7 +19,7 @@ from gadet import (
     fl_coefficients,
     represent,
 )
-from gadet import matrix_rep
+from gadet import charpoly, matrix_rep
 from gadet.matrix_rep import Representation
 from helpers import SIGNATURES, random_mvs
 
@@ -175,10 +175,13 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
         u = random_mvs(sig, 1, 67)[0]
         expected.append((u, det_fl(u), fl_coefficients(u)))
 
-    def forbidden(self, other):
+    def forbidden(*args):
         raise AssertionError("the matrix oracle must not use the geometric product")
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
+    # The product table's gather, and the trace recursion's stack kernel.
+    monkeypatch.setattr(Signature, "_right_factors", forbidden)
+    monkeypatch.setattr(charpoly, "_fl_stack", forbidden)
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})
     for u, det, cp in expected:
