@@ -25,10 +25,10 @@ sign(i, j) * e_(i^j), so output k of a*b is
 one numpy contraction of a against a dim x dim gather of b.  Each signature
 stores the table once, as indices into [b, -b], so no sign multiplies are
 needed; ``Signature._right_factors`` gathers a whole stack of right factors
-at once, as the trace recursion in ``charpoly`` does.  Floats contract in
-float64.  Exact operands are first scaled to ints by their common
-denominators, contracted, then divided back once.  The contraction runs in
-int64 when
+at once, as the trace recursion in ``charpoly`` and the term-tree evaluator
+in ``formulas`` do.  Floats contract in float64.  Exact operands are first
+scaled to ints by their common denominators, contracted, then divided back
+once.  The contraction runs in int64 when
 
     max|a_i| * max|b_j| * 2**n < 2**63,
 
@@ -36,6 +36,8 @@ else in object dtype (Python ints, which cannot overflow).  The bound is
 sufficient: each c_k, and each partial sum on the way to it, is a sum of at
 most 2**n products a_i * b_j, none larger in magnitude than
 max|a_i| * max|b_j|, so no int64 intermediate leaves [-(2**63 - 1), 2**63 - 1].
+Every integer kernel of the package picks its dtype from such a bound with
+:func:`_int_dtype`.
 
 Exact +, - and scaling keep normal form (an int when whole) and skip the
 normalising pass when every result coefficient is an int, which holds
@@ -146,7 +148,7 @@ class Signature:
 
     __slots__ = (
         "p", "q", "n", "N", "m", "dim", "eta", "grades",
-        "_gather", "_square_signs", "_conj_signs", "_identity", "_zero",
+        "_gather", "_square_signs", "_conjugations", "_identity", "_zero",
     )
 
     def __new__(cls, p: int, q: int) -> "Signature":
@@ -181,7 +183,7 @@ class Signature:
         # sign[i, 0] is the sign of e_i * e_i, as a column: a stack of rows
         # times it gives each row's sum_i sign(i, i) * x_i.
         self._square_signs = sign[:, :1]
-        self._conj_signs = {}
+        self._conjugations = {}
         self._identity = None
         self._zero = None
 
@@ -189,7 +191,8 @@ class Signature:
         """The product's gather of b: for b of shape (..., dim), R of shape
         (..., dim, dim) with a @ R[r] = a * b[r], the coefficients of the
         geometric product with b[r] on the right."""
-        return np.concatenate((b, -b), axis=-1)[..., self._gather]
+        # take() gathers a stack of rows several times faster than indexing.
+        return np.concatenate((b, -b), axis=-1).take(self._gather, axis=-1)
 
     def _blade_product(self, a: int, b: int) -> tuple[int, int]:
         """Product of basis blades a and b: result mask and sign.
@@ -214,17 +217,25 @@ class Signature:
 
     def conjugation_signs(self, conj: Conjugation) -> tuple[int, ...]:
         """Per-blade sign vector of a conjugation (cached)."""
+        return self._conjugation(conj)[0]
+
+    def _sign_vector(self, conj: Conjugation) -> np.ndarray:
+        """``conjugation_signs`` as an int64 array: a stack of coefficient
+        rows times it is the stack's conjugate."""
+        return self._conjugation(conj)[1]
+
+    def _conjugation(self, conj: Conjugation) -> tuple[tuple[int, ...], np.ndarray]:
         key = (conj.kind, conj.j)
-        signs = self._conj_signs.get(key)
-        if signs is None:
+        entry = self._conjugations.get(key)
+        if entry is None:
             if conj.kind == "delta" and conj.j > self.m:
                 raise ValueError(
                     f"delta({conj.j}) is not defined for n = {self.n} (1 <= j <= {self.m})"
                 )
             per_grade = [_grade_sign(conj, k) for k in range(self.n + 1)]
             signs = tuple(per_grade[g] for g in self.grades)
-            self._conj_signs[key] = signs
-        return signs
+            entry = self._conjugations[key] = (signs, np.array(signs, np.int64))
+        return entry
 
     def available_conjugations(self) -> tuple[Conjugation, ...]:
         """Every conjugation defined for this algebra."""
@@ -290,6 +301,24 @@ def common_denominator(coeffs) -> int:
         if cd != 1:
             d = d * cd // math.gcd(d, cd)
     return d
+
+
+def _int_dtype(bound: int):
+    """The dtype of an integer kernel whose every intermediate is at most
+    ``bound`` in magnitude: int64 when bound < 2**63, else object (Python
+    ints, which cannot overflow)."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _integer_row(u: "Multivector") -> tuple[list, int]:
+    """(V, D) with u = V / D: V integer coefficients, D = common_denominator.
+    A float input is taken at its exact binary value, so D is a power of two;
+    an inf or nan coefficient raises FloatRangeError."""
+    coeffs = u.to_exact().coeffs
+    d = common_denominator(coeffs)
+    if d == 1:
+        return list(coeffs), 1
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def exact_ratio(num, den):
@@ -553,8 +582,7 @@ class Multivector:
                 b = tuple(int(c * db) for c in b)
             den = da * db
             # The int64 bound of the module docstring.
-            bound = max(map(abs, a)) * max(map(abs, b)) << sig.n
-            dtype = np.int64 if bound < 1 << 63 else object
+            dtype = _int_dtype(max(map(abs, a)) * max(map(abs, b)) << sig.n)
         a = np.array(a, dtype)
         b = np.array(b, dtype)
         with np.errstate(over="ignore", invalid="ignore"):

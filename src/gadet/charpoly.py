@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (Multivector, Scalar, Signature, _normalize_exact, close,
-                      common_denominator, exact_ratio)
+from .algebra import (Multivector, Scalar, Signature, _int_dtype, _integer_row,
+                      _normalize_exact, close, exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
@@ -104,17 +104,6 @@ class CharPoly:
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
-def _integer_row(u: Multivector) -> tuple[list, int]:
-    """(V, D) with u = V / D: V integer coefficients, D = common_denominator.
-    A float input is taken at its exact binary value, so D is a power of two;
-    an inf or nan coefficient raises FloatRangeError."""
-    coeffs = u.to_exact().coeffs
-    d = common_denominator(coeffs)
-    if d == 1:
-        return list(coeffs), 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _fl_stack(sig: Signature, rows: list, is_float: bool):
     """The recursion on a stack of B rows, each the coefficients of one
     multivector V: float rows in float64, integer rows in int64 or object.
@@ -125,7 +114,7 @@ def _fl_stack(sig: Signature, rows: list, is_float: bool):
         v = np.array(rows, np.float64)
     else:
         v_max = max(1, max(max(map(abs, row)) for row in rows))
-        v = np.array(rows, np.int64 if v_max < 1 << 63 else object)
+        v = np.array(rows, _int_dtype(v_max))
     vs = {v.dtype: v}  # V in each dtype the loop has used
     right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
     coeffs = []
@@ -155,7 +144,7 @@ def _fl_stack(sig: Signature, rows: list, is_float: bool):
                 w_max = max(1, int(np.abs(w).max()), *map(abs, col))
                 # The int64 bound of the algebra module docstring, for the
                 # product or the dot product below.
-                w = w.astype(np.int64 if w_max * v_max << sig.n < 1 << 63 else object)
+                w = w.astype(_int_dtype(w_max * v_max << sig.n))
                 w[:, 0] = col
             dtype = w.dtype
             if dtype not in vs:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: det, charpoly, inverse, eigen, check, formulas, bench.  Exit
-codes: 0 success/consistent, 1 other error (e.g. a float overflow), 2 parse
-error, 3 not invertible, 4 not generic, 5 cross-method inconsistency.
+codes: 0 success/consistent, 1 other error (e.g. a float overflow, or a
+reader that closed standard output), 2 parse error, 3 not invertible, 4 not
+generic, 5 cross-method inconsistency.
 
 Multivector expression grammar::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -486,10 +488,17 @@ _EXIT_CODES = ((ParseError, 2), (NotInvertibleError, 3), (NotGenericError, 4),
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except GadetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at devnull, so that
+        # the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,14 +17,40 @@ The catalog is written in the notation ``format_formula`` prints, e.g.
 once at import.  Trees keep each formula's written parenthesization; no
 algebraic simplification is performed.  The catalog is exportable as a
 documented JSON term-tree format (see ``formula_to_json``).
+
+``evaluate_terms`` is the one term-tree evaluator, and it runs on stacks,
+not on multivectors.  A slot value is a (d+1, 2**n) array, the multivector
+coefficients of a polynomial in a commuting scalar t (d = 0 for a plain
+multivector).  A product gathers the right operand through the product
+table once for all its t-coefficients, runs one batched matmul and
+shift-adds the results by t-degree; a conjugation multiplies the stack by
+the cached sign vector.  Weights are scaled to integers, and the caller
+divides by their common denominator den once.
+
+An exact input is scaled to integers once, U = V/D.  A term of k slots is
+homogeneous of degree k, so X(U) = X(V)/D**k and
+Det(U) = F(V, ..., V)/(den * D**N); separate slot values Vi/Di divide by
+D1 * ... * DN.  Scalarity is checked on the integer row before anything is
+divided, so only the scalar part becomes a Fraction.  Integer products run
+in int64 while
+
+    max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
+
+since degree k sums at most min(d_L + 1, d_R + 1) products, each under the
+``algebra`` module's bound, and the weighted sum while
+sum |w| * max|term| < 2**63; otherwise in object dtype.  Float stacks run
+in float64 and raise FloatRangeError where a value leaves the double range.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .algebra import (
     BAR,
@@ -33,12 +59,15 @@ from .algebra import (
     Conjugation,
     Multivector,
     Scalar,
+    _int_dtype,
+    _integer_row,
     _normalize_exact,
     charpoly_degree,
     common_denominator,
     delta,
+    exact_ratio,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, FloatRangeError, SignatureMismatchError
 
 FAMILIES = ("triangle", "bar", "bar_tilde", "bar_tilde_hat")
 
@@ -132,11 +161,14 @@ class DetFormula:
         return charpoly_degree(self.n)
 
     def evaluate(self, values) -> Multivector:
-        """F(x1, ..., xN) on explicit per-slot multivectors."""
+        """F(x1, ..., xN) on explicit per-slot multivectors.  F is linear in
+        each slot, so with xi = Vi/Di it is F(V1, ..., VN) / (D1 * ... * DN)."""
         values = tuple(values)
         if len(values) != self.arity:
             raise ValueError(f"expected {self.arity} slot values, got {len(values)}")
-        return evaluate_terms(self.terms, values)
+        slots, dens = _slots(values)
+        total, den = evaluate_terms(values[0].sig, self.terms, slots)
+        return _to_multivector(values[0].sig, total[0], den * math.prod(dens))
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +293,121 @@ def default_bar_family(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation on stacks
 
 
-def _eval_node(node: Node, values: Sequence[Multivector]) -> Multivector:
+def _max_abs(stack: np.ndarray) -> int:
+    return int(abs(stack).max())
+
+
+def _slots(values: Sequence[Multivector]) -> tuple[list[tuple], list[int]]:
+    """Each value as a slot (stack, top) with value = V / D, and the Ds: the
+    stack is the (1, dim) array [V] and top = max|V|.  When any value is
+    float, every stack is float64 with top None and D = 1; otherwise V holds
+    integers, in int64 when they fit."""
+    sig = values[0].sig
+    if any(v.sig is not sig for v in values):
+        raise SignatureMismatchError("slot values from different algebras")
+    if any(v.is_float for v in values):
+        return ([(np.array([v.to_float().coeffs], np.float64), None) for v in values],
+                [1] * len(values))
+    slots, dens = [], []
+    for v in values:
+        row, d = _integer_row(v)
+        top = max(map(abs, row))
+        slots.append((np.array([row], _int_dtype(top)), top))
+        dens.append(d)
+    return slots, dens
+
+
+def _plus_constant(slot, c: int):
+    """The degree-1 slot c*e + t*V from the slot V."""
+    v, top = slot
+    if top is not None:
+        top = max(top, c)
+        v = v.astype(_int_dtype(top), copy=False)
+    e = np.zeros_like(v)
+    e[0, 0] = c
+    return np.concatenate((e, v)), top
+
+
+def _product(sig, left, right):
+    """The product of two (stack, top) slot values.  t commutes, so
+    coefficient i of the left times coefficient j of the right lands in
+    degree i + j, the left factor staying on the left."""
+    (a, a_top), (b, b_top) = left, right
+    if a_top is not None:
+        # The int64 bound of the module docstring.  The tops may be loose:
+        # tighten them before leaving int64.
+        pairs = min(len(a), len(b)) << sig.n
+        bound = a_top * b_top * pairs
+        if bound >= 1 << 63:
+            bound = _max_abs(a) * _max_abs(b) * pairs
+        dtype = _int_dtype(bound)
+        a = a.astype(dtype, copy=False)
+        b = b.astype(dtype, copy=False)
+    parts = a @ sig._right_factors(b)  # parts[j, i] = a[i] * b[j]
+    if len(a) == 1:
+        out = parts[:, 0]
+    elif len(b) == 1:
+        out = parts[0]
+    else:
+        out = np.zeros((len(a) + len(b) - 1, sig.dim), parts.dtype)
+        for j, part in enumerate(parts):
+            out[j:j + len(a)] += part
+    if a_top is None and not np.isfinite(out).all():
+        raise FloatRangeError("a float geometric product is outside the "
+                              "double range (inf or nan)")
+    return out, None if a_top is None else bound
+
+
+def _eval_node(sig, node: Node, values: Sequence):
     if isinstance(node, Slot):
         return values[node.index - 1]
     if isinstance(node, Conj):
-        return _eval_node(node.child, values).conjugate(node.conj)
-    result = _eval_node(node.factors[0], values)
+        stack, top = _eval_node(sig, node.child, values)
+        return stack * sig._sign_vector(node.conj), top
+    result = _eval_node(sig, node.factors[0], values)
     for factor in node.factors[1:]:
-        result = result * _eval_node(factor, values)
+        result = _product(sig, result, _eval_node(sig, factor, values))
     return result
 
 
-def evaluate_terms(
-    terms: Sequence[FormulaTerm], values: Sequence[Multivector]
-) -> Multivector:
-    """The weighted sum of term trees on explicit per-slot values.  Each term
-    is scaled by an integer, its weight times the weights' common
-    denominator, and the sum is divided by that denominator once."""
+def evaluate_terms(sig, terms: Sequence[FormulaTerm], slots: Sequence[tuple]):
+    """The weighted sum of term trees, times the weights' common denominator
+    den: returns (stack, den).  Each slot value is a pair (stack, top), the
+    stack as in the module docstring and top an upper bound on max|stack|,
+    None for a float stack."""
     den = common_denominator(term.weight for term in terms)
-    total = None
-    for term in terms:
-        contribution = _eval_node(term.tree, values) * int(term.weight * den)
-        total = contribution if total is None else total + contribution
-    return total if den == 1 else total / den
+    if slots[0][1] is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(int(term.weight * den) * _eval_node(sig, term.tree, slots)[0]
+                        for term in terms)
+            if not np.isfinite(total).all():
+                raise FloatRangeError("a float sum of formula terms is outside the "
+                                      "double range (inf or nan)")
+        return total, den
+    weighted = [(int(term.weight * den), _eval_node(sig, term.tree, slots))
+                for term in terms]
+    if len(weighted) == 1 and weighted[0][0] == 1:
+        return weighted[0][1][0], den
+    # The sum's int64 bound: no partial sum exceeds sum |w| * max|term|.
+    bound = sum(abs(w) * top for w, (_, top) in weighted)
+    if bound >= 1 << 63:
+        bound = sum(abs(w) * _max_abs(stack) for w, (stack, _) in weighted)
+    dtype = _int_dtype(bound)
+    return sum(w * stack.astype(dtype, copy=False) for w, (stack, _) in weighted), den
+
+
+def _to_multivector(sig, row: np.ndarray, scale: int) -> Multivector:
+    """The multivector row / scale; a float row goes through the
+    constructor's range check."""
+    if row.dtype == np.float64:
+        return Multivector(sig, (row / scale).tolist())
+    coeffs = row.tolist()
+    if scale != 1:
+        coeffs = [exact_ratio(c, scale) for c in coeffs]
+    return Multivector._raw(sig, tuple(coeffs), False)
 
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:
@@ -297,6 +418,15 @@ def _require_scalar(mv: Multivector, context: str) -> Scalar:
     return mv.scalar_part()
 
 
+def _scalar(sig, row: np.ndarray, scale: int, context: str) -> Scalar:
+    """The scalar part of row / scale once its grades >= 1 are shown to
+    vanish: literally on an integer row, before anything is divided; by
+    ``Multivector.is_scalar``'s tolerance on a float row."""
+    if row.dtype == np.float64 or row[1:].any():
+        return _require_scalar(_to_multivector(sig, row, scale), context)
+    return int(row[0]) if scale == 1 else exact_ratio(int(row[0]), scale)
+
+
 def _require_dimension(formula: DetFormula, u: Multivector) -> None:
     if u.sig.n != formula.n:
         raise ValueError(
@@ -305,11 +435,14 @@ def _require_dimension(formula: DetFormula, u: Multivector) -> None:
 
 
 def evaluate_det(formula: DetFormula, u: Multivector) -> Scalar:
-    """Det(u) by substituting u into every slot of the formula."""
+    """Det(u) by substituting u into every slot of the formula.  With
+    u = V/D, Det(u) = F(V, ..., V) / D**N."""
     _require_dimension(formula, u)
-    value = evaluate_terms(formula.terms, (u,) * formula.arity)
-    return _require_scalar(
-        value, f"{formula.family}/{formula.variant} determinant formula (n={formula.n})"
+    (v,), (d,) = _slots((u,))
+    total, den = evaluate_terms(u.sig, formula.terms, (v,) * formula.arity)
+    return _scalar(
+        u.sig, total[0], den * d ** formula.arity,
+        f"{formula.family}/{formula.variant} determinant formula (n={formula.n})",
     )
 
 
@@ -324,10 +457,13 @@ def _adjugate_factors(term: FormulaTerm) -> tuple[Node, ...]:
 
 
 def evaluate_adjugate(formula: DetFormula, u: Multivector) -> Multivector:
-    """Adj(u) = sum of weighted terms with the common factor U removed."""
+    """Adj(u) = sum of weighted terms with the common factor U removed; each
+    term has N - 1 slots, so with u = V/D the sum is divided by D**(N-1)."""
     _require_dimension(formula, u)
     terms = [FormulaTerm(t.weight, Prod(_adjugate_factors(t))) for t in formula.terms]
-    return evaluate_terms(terms, (u,) * formula.arity)
+    (v,), (d,) = _slots((u,))
+    total, den = evaluate_terms(u.sig, terms, (v,) * formula.arity)
+    return _to_multivector(u.sig, total[0], den * d ** (formula.arity - 1))
 
 
 # ---------------------------------------------------------------------------

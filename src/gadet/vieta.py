@@ -11,14 +11,26 @@ F(e + tU, ..., e + tU), a polynomial in a commuting scalar t.
 ``formulas.evaluate_terms`` evaluates the term trees on it, so one pass
 gives every X(k).  C(N), the single all-U tuple, is evaluated directly.
 
+Each slot is a stack of two rows, [e, V], with U = V/D scaled to integers
+once: e + tV = e + (tD)U, so the t**k coefficient of F(e + tV, ..., e + tV)
+is X(k)(V), and
+
+    X(k)(U) = X(k)(V) / D**k.
+
+Scalarity is checked on the integer rows before the one division.  The
+products and sums stay in int64 under the evaluator's bound (see
+``formulas``) and run in object dtype beyond it.
+
 The ordered solution sets (x_k, v_k, y_k) for n <= 3 read the descending
 elementary sums E_k of y_1..y_N off (e + t y_N) ... (e + t y_1) the same
-way.  The module also holds the closed-form eigenvalue comparison for n <= 2.
+way, each factor written (D_i*e + t*Y_i)/D_i.  The module also holds the
+closed-form eigenvalue comparison for n <= 2.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .algebra import EIGEN_COMPARE_TOL, Multivector, Scalar
@@ -26,8 +38,15 @@ from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
 from .errors import NotGenericError
 from .formulas import (
     DetFormula,
+    FormulaTerm,
+    Prod,
+    Slot,
+    _plus_constant,
     _require_dimension,
     _require_scalar,
+    _scalar,
+    _slots,
+    _to_multivector,
     det_formula,
     evaluate_terms,
 )
@@ -39,53 +58,20 @@ def f_function(n: int, family: str = "triangle", variant: str = "standard") -> D
     return det_formula(n, family, variant)
 
 
-# ---------------------------------------------------------------------------
-# polynomials in t with multivector coefficients
+def _x_sums(f: DetFormula, u: Multivector):
+    """(P, den, D) with X(k) = P[k] / (den * D**k) for k = 0..N, where X(k)
+    is the weighted sum of F over every tuple with k slots holding u and the
+    rest holding e.  With u = V/D, P is F(e + tV, ..., e + tV) times the
+    weights' common denominator den."""
+    (v,), (d,) = _slots((u,))
+    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant(v, 1),) * f.arity)
+    return total, den, d
 
 
-class _Poly:
-    """P_0 + P_1 t + ... + P_d t**d for a scalar t that commutes with
-    everything; coeffs is [P_0, ..., P_d]."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list):
-        self.coeffs = coeffs
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):  # a scalar formula weight
-            return _Poly([c * other for c in self.coeffs])
-        # The left factor's coefficients stay on the left: the geometric
-        # product does not commute, t does.  A product with e is only a
-        # scale, since Multivector's product returns early for scalars.
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, left in enumerate(self.coeffs):
-            for j, right in enumerate(other.coeffs):
-                value = left * right
-                out[i + j] = value if out[i + j] is None else out[i + j] + value
-        return _Poly(out)
-
-    def __truediv__(self, scalar) -> "_Poly":
-        return _Poly([c / scalar for c in self.coeffs])
-
-    def __add__(self, other: "_Poly") -> "_Poly":
-        return _Poly([a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
-
-    def conjugate(self, conj) -> "_Poly":
-        return _Poly([c.conjugate(conj) for c in self.coeffs])
-
-
-def _x_sums(f: DetFormula, u: Multivector) -> list:
-    """[X(0), X(1), ..., X(N)]: X(k) is the weighted sum of F over every
-    tuple with k slots holding u and the rest holding e."""
-    slot = _Poly([u.sig.identity, u])
-    return evaluate_terms(f.terms, (slot,) * f.arity).coeffs
-
-
-def _coefficient(f: DetFormula, k: int, x_k: Multivector) -> Scalar:
-    """C(k) = (-1)**(k+1) * X(k), once X(k) is shown to be scalar."""
-    scalar = _require_scalar(
-        x_k, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
+def _coefficient(f: DetFormula, u: Multivector, k: int, x_k, scale: int) -> Scalar:
+    """C(k) = (-1)**(k+1) * X(k), with X(k) = x_k / scale shown to be scalar."""
+    scalar = _scalar(
+        u.sig, x_k, scale, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
     )
     return scalar if k % 2 == 1 else -scalar
 
@@ -100,9 +86,12 @@ def vieta_coefficient(f: DetFormula, u: Multivector, k: int) -> Scalar:
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must be in 1..{f.arity}, got {k}")
     if k == f.arity:
-        # X(N) is the single all-U tuple.
-        return _coefficient(f, k, f.evaluate((u,) * f.arity))
-    return _coefficient(f, k, _x_sums(f, u)[k])
+        # X(N) is the single all-U tuple, F(V, ..., V) / D**N.
+        (v,), (d,) = _slots((u,))
+        total, den = evaluate_terms(u.sig, f.terms, (v,) * f.arity)
+        return _coefficient(f, u, k, total[0], den * d ** k)
+    total, den, d = _x_sums(f, u)
+    return _coefficient(f, u, k, total[k], den * d ** k)
 
 
 def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
@@ -111,9 +100,9 @@ def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
     Every X(k) sum passes through the scalarity assertion.
     """
     _require_dimension(f, u)
-    totals = _x_sums(f, u)
+    total, den, d = _x_sums(f, u)
     return CharPoly(u.sig, tuple(
-        _coefficient(f, k, totals[k]) for k in range(1, f.arity + 1)
+        _coefficient(f, u, k, total[k], den * d ** k) for k in range(1, f.arity + 1)
     ))
 
 
@@ -171,12 +160,20 @@ def coefficients_from_roots(ys) -> tuple[Multivector, ...]:
     y_ik ... y_i1 of k distinct y's, is the t**k coefficient of
     (e + t y_N) ... (e + t y_1).
 
-    For a valid ordered set these are scalar multivectors equal to C(k)."""
-    sums = _Poly([1])
-    for y in ys:
-        sums = _Poly([y.sig.identity, y]) * sums
-    return tuple(ek if k % 2 == 1 else -ek
-                 for k, ek in enumerate(sums.coeffs[1:], start=1))
+    With y_i = Y_i/D_i each factor is (D_i*e + t*Y_i)/D_i, so the product of
+    the integer factors is divided by D_1 * ... * D_N once.  For a valid
+    ordered set these are scalar multivectors equal to C(k)."""
+    ys = tuple(ys)
+    if not ys:
+        return ()
+    sig = ys[0].sig
+    slots, dens = _slots(ys[::-1])
+    factors = [_plus_constant(v, d) for v, d in zip(slots, dens)]
+    product = FormulaTerm(1, Prod(tuple(Slot(i) for i in range(1, len(ys) + 1))))
+    total, _ = evaluate_terms(sig, (product,), factors)
+    scale = math.prod(dens)
+    return tuple(_to_multivector(sig, total[k] if k % 2 == 1 else -total[k], scale)
+                 for k in range(1, len(ys) + 1))
 
 
 # ---------------------------------------------------------------------------

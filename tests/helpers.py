@@ -16,6 +16,11 @@ def random_mvs(sig: Signature, count: int, seed: int, *, float_backend=False):
             for _ in range(count)]
 
 
+def same_typed(a, b) -> bool:
+    """Literal equality with the same types, coefficient by coefficient."""
+    return a == b and list(map(type, a)) == list(map(type, b))
+
+
 def subset_masks(N: int, k: int) -> tuple[int, ...]:
     """All N-bit masks with popcount k (bit i-1 set: slot i holds U)."""
     return tuple(m for m in range(1 << N) if m.bit_count() == k)

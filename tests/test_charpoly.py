@@ -26,7 +26,7 @@ from gadet import (
 )
 from gadet import charpoly, matrix_rep
 from gadet.cli import METHODS
-from helpers import SIGNATURES, random_mvs
+from helpers import SIGNATURES, random_mvs, same_typed
 
 
 def test_identity_coefficients_are_binomial():
@@ -245,11 +245,6 @@ def test_exact_coefficients_are_in_normal_form():
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (sig, method, c)
 
 
-def _same(a, b):
-    """Literal equality with the same types, coefficient by coefficient."""
-    return a == b and list(map(type, a)) == list(map(type, b))
-
-
 def test_scaled_recursion_is_exact_across_the_int64_guard():
     # u = V / D runs on the integer row V and divides once at the end.  The
     # inputs below start inside the int64 bound and leave it partway through
@@ -275,10 +270,10 @@ def test_scaled_recursion_is_exact_across_the_int64_guard():
             if i == 3:
                 assert v_max >= 2 ** 63
             det = det_fl(u)
-            assert _same([det], [det_matrix(u)])
+            assert same_typed([det], [det_matrix(u)])
             cp = charpoly_matrix(u)
-            assert _same(fl_coefficients(u).coeffs, cp.coeffs)
-            assert _same(charpoly_interp(u).coeffs, cp.coeffs)
+            assert same_typed(fl_coefficients(u).coeffs, cp.coeffs)
+            assert same_typed(charpoly_interp(u).coeffs, cp.coeffs)
             assert u * adjugate(u) == det * e
             assert u * inverse(u) == e
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gadet
 from gadet import Multivector, ParseError, Signature, random_multivector
 from gadet.cli import main, parse_multivector
 
@@ -336,6 +340,24 @@ def test_exit_code_not_generic(capsys):
     code, _, err = run(capsys, "eigen", "--sig", "2,0", "--ys", "7")
     assert code == 4
     assert "not generic" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The reader is gone before gadet writes, so the first write fails with
+    # a broken pipe: gadet exits with 1 and writes nothing to stderr.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gadet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gadet.cli", "inverse", "--sig", "2,0", "1/2 + 1/3*e1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_float_backend_det(capsys):

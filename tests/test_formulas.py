@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from gadet import (
     formula_to_json,
 )
 from gadet.formulas import _CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, format_formula
-from helpers import SIGNATURES, random_mvs
+from helpers import SIGNATURES, random_mvs, same_typed
 
 
 def test_catalog_coverage():
@@ -258,3 +259,137 @@ def test_construction_validates_slots_and_weights():
         formula((Fraction(1, 3), (1, 2)))
     with pytest.raises(ValueError, match="sum to 1"):
         formula()
+
+
+# -- the stack evaluator -----------------------------------------------------
+
+
+def _by_multivectors(formula, values):
+    """F(values) term by term with Multivector operations: the reference for
+    the stack evaluator."""
+    def walk(node):
+        if isinstance(node, Slot):
+            return values[node.index - 1]
+        if isinstance(node, Conj):
+            return walk(node.child).conjugate(node.conj)
+        result = walk(node.factors[0])
+        for factor in node.factors[1:]:
+            result = result * walk(factor)
+        return result
+
+    total = values[0].sig.zero
+    for term in formula.terms:
+        total = total + walk(term.tree) * term.weight
+    return total
+
+
+_GUARD_SIGNATURES = (Signature(6, 0), Signature(3, 3), Signature(0, 6), Signature(2, 1))
+
+
+def _guard_inputs(sig, r):
+    """Integers of 10**12, which start in int64 and leave it at the first
+    product; a row beyond 2**63 from the start; denominators 3, 7, 11, 13
+    mixed; dense rationals in [-9, 9]/[1, 9]."""
+    big = Multivector(sig, (r.randint(-10 ** 12, 10 ** 12) for _ in range(sig.dim)))
+    top = max(map(abs, big.coeffs))
+    assert top < 2 ** 63 <= top * top << sig.n
+    beyond = Multivector(sig, [2 ** 64 + 1] + [r.randint(-2 ** 70, 2 ** 70)
+                                             for _ in range(sig.dim - 1)])
+    mixed = Multivector(sig, (Fraction(r.randint(-9, 9), r.choice((3, 7, 11, 13)))
+                              for _ in range(sig.dim)))
+    dense = Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
+                              for _ in range(sig.dim)))
+    return big, beyond, mixed, dense
+
+
+def test_stack_evaluator_is_exact_across_the_int64_guard():
+    # Every cataloged determinant, both Vieta families and every adjugate
+    # equal the matrix oracle and fl literally, types included.
+    from gadet import adjugate, charpoly_matrix, det_matrix, f_function, vieta_all
+
+    r = random.Random(13)
+    for sig in _GUARD_SIGNATURES:
+        for u in _guard_inputs(sig, r):
+            det = det_matrix(u)
+            cp = charpoly_matrix(u).coeffs
+            adj = adjugate(u).coeffs
+            for f in available_formulas(sig.n):
+                assert same_typed([evaluate_det(f, u)], [det]), (sig, f.family, u)
+                assert same_typed(evaluate_adjugate(f, u).coeffs, adj), (sig, f.family, u)
+            for family in ("triangle", default_bar_family(sig.n)):
+                assert same_typed(vieta_all(f_function(sig.n, family), u).coeffs, cp), (sig, family)
+
+
+def test_f_function_on_slots_with_different_denominators():
+    # F is linear in each slot, so F(V1/D1, ...) = F(V1, ...) / (D1 * ...).
+    r = random.Random(14)
+    dens = (1, 3, 2 ** 40, 10 ** 18 + 9, 7 * 11, 13, 2, 5)
+    for sig in _GUARD_SIGNATURES:
+        for f in available_formulas(sig.n):
+            values = [Multivector(sig, (Fraction(r.randint(-9, 9), dens[(i + j) % len(dens)])
+                                        for j in range(sig.dim)))
+                      for i in range(f.arity)]
+            got = f.evaluate(values)
+            assert same_typed(got.coeffs, _by_multivectors(f, values).coeffs), (sig, f.family)
+
+
+def test_float_overflow_in_the_stack_evaluator_raises():
+    from gadet import FloatRangeError, f_function, vieta_all, vieta_coefficient
+
+    sig = Signature(6, 0)
+    r = random.Random(15)
+    u = Multivector(sig, (r.uniform(-1e100, 1e100) for _ in range(sig.dim)))
+    f = f_function(6)
+    routes = [lambda: evaluate_det(f, u), lambda: evaluate_adjugate(f, u),
+              lambda: vieta_all(f, u), lambda: vieta_coefficient(f, u, 3),
+              lambda: vieta_coefficient(f, u, 8), lambda: f.evaluate((u,) * 8)]
+    for route in routes:
+        with pytest.raises(FloatRangeError, match="float.*range"):
+            route()
+
+
+def test_formula_and_vieta_routes_do_not_use_fl_or_the_matrix_oracle(monkeypatch):
+    # The closed-form and Vieta routes share only the product table with the
+    # fl recursion, and nothing with the matrix oracle: with both replaced by
+    # a function that raises, they still give the right results.
+    import gadet
+    from gadet import adjugate, charpoly, cli, f_function, fl_coefficients, matrix_rep, \
+        vieta_all, vieta_coefficient
+
+    r = random.Random(16)
+    cases = []
+    for sig in (Signature(6, 0), Signature(3, 3)):
+        u = random_mvs(sig, 1, 70)[0]
+        v = Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
+                              for _ in range(sig.dim)))
+        for x in (u, v):
+            xs = random_mvs(sig, sig.N, 71)
+            cases.append((x, det_fl(x), adjugate(x), fl_coefficients(x),
+                          xs, _by_multivectors(det_formula(sig.n), xs)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formula and Vieta routes must not call fl or matrix_rep")
+
+    replaced = [charpoly._fl_stack, charpoly.det_fl, charpoly.fl_coefficients,
+                matrix_rep.build_representation, matrix_rep.represent,
+                matrix_rep.det_matrix, matrix_rep.charpoly_matrix,
+                matrix_rep.eigenvalues]
+    modules = [gadet, gadet.algebra, charpoly, gadet.formulas, gadet.vieta,
+               matrix_rep, cli]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in replaced):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        gadet.det_fl(cases[0][0])
+
+    for x, det, adj, cp, xs, f_of_xs in cases:
+        n = x.sig.n
+        for f in available_formulas(n):
+            assert evaluate_det(f, x) == det
+            assert evaluate_adjugate(f, x) == adj
+        for family in ("triangle", default_bar_family(n)):
+            f = f_function(n, family)
+            assert vieta_all(f, x) == cp
+            assert [vieta_coefficient(f, x, k) for k in range(1, f.arity + 1)] == list(cp.coeffs)
+        assert det_formula(n).evaluate(xs) == f_of_xs

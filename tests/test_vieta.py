@@ -24,8 +24,8 @@ from gadet import (
     vieta_all,
     vieta_coefficient,
 )
-from helpers import (SIGNATURES, elementary_descending, random_mvs, subset_masks,
-                     vieta_by_masks)
+from helpers import (SIGNATURES, elementary_descending, random_mvs, same_typed,
+                     subset_masks, vieta_by_masks)
 
 
 def test_f_function_bodies_on_distinct_arguments():
@@ -236,6 +236,24 @@ def test_coefficients_from_roots_match_descending_sums():
             if length >= 2:
                 # Descending, not ascending: the order of the ys matters.
                 assert coefficients_from_roots(ys[::-1])[1] != expected[1]
+
+
+def test_coefficients_from_roots_with_different_denominators():
+    # Each factor is (D_i e + t Y_i) / D_i; the product of the integer
+    # factors is divided by D_1 * ... * D_N once.  2**70 leaves int64 at once.
+    r = random.Random(62)
+    dens = (1, 3, 2 ** 70, 7 * 11 * 13)
+    for sig in [Signature(2, 1), Signature(6, 0)]:
+        ys = [Multivector(sig, (Fraction(r.randint(-9, 9), d) for _ in range(sig.dim)))
+              for d in dens]
+        expected = tuple(
+            elementary_descending(ys, k) * (1 if k % 2 == 1 else -1)
+            for k in range(1, len(ys) + 1)
+        )
+        got = coefficients_from_roots(ys)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert same_typed(a.coeffs, b.coeffs)
 
 
 # -- eigenvalue comparison ----------------------------------------------------
