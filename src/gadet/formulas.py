@@ -59,6 +59,8 @@ from .algebra import (
     Conjugation,
     Multivector,
     Scalar,
+    _MAX_N,
+    _MIN_N,
     _int_dtype,
     _integer_row,
     _normalize_exact,
@@ -129,9 +131,9 @@ class DetFormula:
     slot holds the same U (for any signature with p + q = n).
 
     Read with its N slots as separate variables it is the F-function
-    F(x1, ..., xN).  Construction checks that every term uses slots 1..N
-    left to right, that every delta(j) exists at this n, and that the
-    weights sum to 1.
+    F(x1, ..., xN).  Construction checks that n is a dimension the package
+    supports, that every term uses slots 1..N left to right, that every
+    delta(j) exists at this n, and that the weights sum to 1.
     """
 
     n: int
@@ -140,6 +142,8 @@ class DetFormula:
     terms: tuple[FormulaTerm, ...]
 
     def __post_init__(self):
+        if not _MIN_N <= self.n <= _MAX_N:
+            raise ValueError(f"formula n must be in [{_MIN_N}, {_MAX_N}], got {self.n}")
         m = self.n.bit_length()
         for term in self.terms:
             nodes = list(_nodes(term.tree))
@@ -509,7 +513,8 @@ def formula_to_json(formula: DetFormula) -> dict:
 
 def formula_from_json(data: dict) -> DetFormula:
     """The DetFormula a ``formula_to_json`` document describes; malformed
-    input, such as a missing key or an unknown conjugation, raises ValueError."""
+    input, such as a missing key, a value of the wrong type, a zero
+    denominator or an unknown conjugation, raises ValueError."""
     try:
         terms = tuple(
             FormulaTerm(Fraction(t["weight"]), _node_from_json(t["tree"]))
@@ -518,6 +523,8 @@ def formula_from_json(data: dict) -> DetFormula:
         return DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
     except KeyError as exc:
         raise ValueError(f"formula JSON lacks the key {exc}") from None
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed formula JSON: {exc}") from None
 
 
 def catalog_to_json() -> list[dict]:

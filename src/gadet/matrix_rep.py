@@ -2,177 +2,143 @@
 
 Generators map to Kronecker chains of the three anticommuting 2x2 matrices
 (even n) or to a two-block form whose last generator is a scaled product of
-the others with opposite signs in the two blocks (odd n).  Every generator
-and blade matrix is monomial: each row holds exactly one nonzero entry, a
-power of i.  Such a matrix is stored as two tuples, the column of each row's
-entry and that entry's power of i (0-3), so products and Kronecker products
-are index arithmetic.
+the others with opposite signs in the two blocks (odd n).  Every entry of a
+generator or blade matrix is 0, +-1 or +-i, so every product of them is
+exact in complex128 and in integers.
 
-beta(u) is a pair (real part, imaginary part) of N x N row tuples.  The exact
-determinant scales beta(u) by the common denominator D of u's coefficients
-and runs Bareiss elimination over Gaussian integers, each step divided
-exactly by the previous pivot; the characteristic coefficients come from the
-trace recursion on D*beta(u) in integer arithmetic.  The float backend uses
-numpy on the complex matrix; a det or trace outside the double range raises
-FloatRangeError.  None of this touches the multivector product it
-cross-checks.
+Each signature caches one integer table: every blade matrix X in real form
+[[re X, -im X], [im X, re X]], flattened to one row per blade and stored as
+int8.  beta(u) in real form is one contraction of u's coefficient row
+against the table.  An exact u is first scaled to integers, V = D*u with D
+the common denominator of its coefficients; the contraction runs in int64
+when max|V| * 2**n < 2**63 and in object dtype (Python ints) otherwise.  A
+float u is contracted as it is.
+
+The exact determinant runs Bareiss elimination over Gaussian integers on
+D*beta(u), each step divided exactly by the previous pivot; the float one is
+LAPACK's on the complex matrix.  The characteristic coefficients come from
+one trace recursion for both backends on the 2N x N column block
+K = [re M; im M] of the step matrix M:
+
+    K1 = [re B; im B],   ck = Tr(Mk)/k,   K(k+1) = B @ (Kk - ck*[I; 0]),
+
+with B the real form of D*beta(u).  An exact step runs in int64 when
+max|B| * (max|Kk| + |ck|) * 2N < 2**63, else in object dtype; its
+coefficients are D**k times those of beta(u).  A float det or trace outside
+the double range raises FloatRangeError.  None of this touches the
+multivector product it cross-checks.
 """
 
 from __future__ import annotations
 
 import cmath
-from functools import reduce
-from operator import mul
+from functools import cache, reduce
 
 import numpy as np
 
 from .algebra import (EIGEN_RECON_TOL, REAL_TOL, Multivector, Scalar, Signature,
-                      common_denominator, exact_ratio)
+                      _int_dtype, common_denominator, exact_ratio)
 from .charpoly import CharPoly
 from .errors import ConsistencyError, FloatRangeError, NonConvergenceError
 
-# A monomial matrix (cols, phases): row r holds i**phases[r] in column cols[r].
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 # A dense complex matrix: (real rows, imaginary rows).
 Matrix = tuple[tuple[tuple, ...], tuple[tuple, ...]]
 
-_SIGMA1 = ((1, 0), (0, 0))
-_SIGMA2 = ((1, 0), (3, 1))
-_SIGMA3 = ((0, 1), (0, 2))
-_ID2 = ((0, 1), (0, 0))
+_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA2 = np.array([[0, -1j], [1j, 0]])
+_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2, dtype=complex)
 
 
-def _identity(dim: int) -> Monomial:
-    return tuple(range(dim)), (0,) * dim
-
-
-def _kron(a: Monomial, b: Monomial) -> Monomial:
-    (ca, pa), (cb, pb) = a, b
-    db = len(cb)
-    return (tuple(x * db + y for x in ca for y in cb),
-            tuple((x + y) % 4 for x in pa for y in pb))
-
-
-def _mul(a: Monomial, b: Monomial) -> Monomial:
-    (ca, pa), (cb, pb) = a, b
-    return (tuple(cb[c] for c in ca),
-            tuple((p + pb[c]) % 4 for c, p in zip(ca, pa)))
-
-
-def _times_i(a: Monomial, k: int) -> Monomial:
-    """a * i**k."""
-    cols, phases = a
-    return cols, tuple((p + k) % 4 for p in phases)
-
-
-def _block_diag(a: Monomial, b: Monomial) -> Monomial:
-    (ca, pa), (cb, pb) = a, b
-    return ca + tuple(c + len(ca) for c in cb), pa + pb
-
-
-def _even_generators(n: int, eta) -> list[Monomial]:
-    """Generator matrices for even n: slot ceil(a/2) carries sigma1/sigma2,
-    sigma3 pads before, identity after; negative-eta generators scale by i."""
+@cache
+def _even_chains(n: int) -> tuple[np.ndarray, ...]:
+    """The Kronecker chains of even n, built once per n: for generator a,
+    slot ceil(a/2) carries sigma1/sigma2, sigma3 pads before, identity
+    after."""
     w = n // 2
-    gens = []
+    chains = []
     for a in range(1, n + 1):
         slot = (a + 1) // 2
         base = _SIGMA1 if a % 2 == 1 else _SIGMA2
-        g = reduce(_kron, [_SIGMA3] * (slot - 1) + [base] + [_ID2] * (w - slot))
-        gens.append(_times_i(g, 1) if eta[a - 1] < 0 else g)
-    return gens
+        chains.append(reduce(np.kron, [_SIGMA3] * (slot - 1) + [base] + [_ID2] * (w - slot)))
+    return tuple(chains)
 
 
-def _generators(sig: Signature) -> list[Monomial]:
+def _generators(sig: Signature) -> list[np.ndarray]:
     n, eta = sig.n, sig.eta
+    # The even chains, negative-eta generators scaled by i; new arrays
+    # either way, so the cached chains never leave this function.
+    even = [g * (1j if e < 0 else 1) for g, e in zip(_even_chains(n - n % 2), eta)]
     if n % 2 == 0:
-        return _even_generators(n, eta)
-    small = _even_generators(n - 1, eta[: n - 1])
+        return even
     half = 2 ** ((n - 1) // 2)
-    pseudo = reduce(_mul, small, _identity(half))
-    cols, phases = _mul(pseudo, pseudo)
-    if cols != tuple(range(half)) or len(set(phases)) != 1 or phases[0] % 2:
+    pseudo = reduce(np.matmul, even, np.eye(half, dtype=complex))
+    square = pseudo @ pseudo
+    if square[0, 0] not in (1, -1) or not (square == square[0, 0] * np.eye(half)).all():
         raise ConsistencyError("product of even-part generators does not square to +-I")
     # (c * pseudo)**2 must equal eta_nn * I.
-    square = 1 if phases[0] == 0 else -1
-    scaled = pseudo if square == eta[n - 1] else _times_i(pseudo, 1)
-    full = [_block_diag(g, g) for g in small]
-    full.append(_block_diag(scaled, _times_i(scaled, 2)))
-    return full
+    scaled = pseudo if square[0, 0] == eta[n - 1] else 1j * pseudo
+    return [np.kron(_ID2, g) for g in even] + [np.kron(_SIGMA3, scaled)]
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """A stack of complex matrices X as int64 [[re X, -im X], [im X, re X]]."""
+    re, im = m.real.astype(np.int64), m.imag.astype(np.int64)
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
 
 
 class Representation:
-    """Cached generator and blade matrices for one signature, self-checked."""
+    """Cached generator matrices and blade table for one signature,
+    self-checked."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.generators = tuple(_generators(sig))
-        self._check_relations()
-        blades = [_identity(sig.N)]
-        for bits in range(1, sig.dim):
-            low = bits & -bits
-            blades.append(_mul(self.generators[low.bit_length() - 1], blades[bits ^ low]))
-        self.blades = tuple(blades)
-        self._check_faithful()
-        # Flat indices into the 2*N*N (real rows, then imaginary rows) entries
-        # that each blade's coefficient is added to and subtracted from.
-        N = sig.N
-        self._scatter = tuple(
-            tuple(tuple(r * N + c + (N * N if p % 2 else 0)
-                        for r, (c, p) in enumerate(zip(cols, phases)) if p // 2 == sign)
-                  for sign in (0, 1))
-            for cols, phases in self.blades
-        )
+        self._check_relations(_real_form(np.array(self.generators)))
+        # Blade bits = e_a1 ... e_ak (a1 < ... < ak): the blades below bit
+        # a times generator a are the blades whose top bit is a.
+        blades = np.eye(sig.N, dtype=complex)[None]
+        for g in self.generators:
+            blades = np.concatenate([blades, blades @ g])
+        table = _real_form(blades)
+        self._check_faithful(table)
+        # The Gram check bounds every entry by sqrt(N), so int8 holds them.
+        self.table = table.reshape(sig.dim, -1).astype(np.int8)
 
-    def _check_relations(self) -> None:
-        # g_a g_b + g_b g_a = 2 eta_a delta_ab I: g_a**2 is eta_a I, and for
-        # a != b the two products share columns with opposite entries.
+    def _check_relations(self, gens: np.ndarray) -> None:
+        # g_a g_b + g_b g_a = 2 eta_a delta_ab I, all pairs at once.
         sig = self.sig
-        for a in range(sig.n):
-            ga = self.generators[a]
-            for b in range(a, sig.n):
-                gb = self.generators[b]
-                (cab, pab), (cba, pba) = _mul(ga, gb), _mul(gb, ga)
-                if a == b:
-                    ok = (cab, pab) == _times_i(_identity(sig.N), 1 - sig.eta[a])
-                else:
-                    ok = cab == cba and all((x - y) % 4 == 2 for x, y in zip(pab, pba))
-                if not ok:
-                    raise ConsistencyError(
-                        f"generator relation failed for (e{a+1}, e{b+1}) in {sig}"
-                    )
+        products = gens[:, None] @ gens[None, :]
+        expected = 2 * np.diag(sig.eta)[:, :, None, None] * np.eye(2 * sig.N, dtype=np.int64)
+        bad = np.argwhere((products + products.swapaxes(0, 1) != expected).any(axis=(2, 3)))
+        if bad.size:
+            a, b = bad[0]
+            raise ConsistencyError(
+                f"generator relation failed for (e{a+1}, e{b+1}) in {sig}"
+            )
 
-    def _check_faithful(self) -> None:
-        # Faithfulness on the real algebra reduces to: no two blade matrices
-        # are proportional, i.e. none share columns with a constant phase
-        # offset.  Non-scalar blades must also be traceless (this is what
-        # makes Tr(U) = N * <U>_0).
-        seen = {}
-        for bits, (cols, phases) in enumerate(self.blades):
-            key = (cols, tuple((p - phases[0]) % 4 for p in phases))
-            if key in seen:
-                raise ConsistencyError(
-                    f"blades {seen[key]} and {bits} are proportional in {self.sig}"
-                )
-            seen[key] = bits
-            diagonal = [p for r, (c, p) in enumerate(zip(cols, phases)) if c == r]
-            if bits and (diagonal.count(0) != diagonal.count(2)
-                         or diagonal.count(1) != diagonal.count(3)):
-                raise ConsistencyError(
-                    f"non-scalar blade {bits} has nonzero trace in {self.sig}"
-                )
-
-    def matrix(self, u: Multivector) -> Matrix:
-        N = self.sig.N
-        acc = [0.0 if u.is_float else 0] * (2 * N * N)
-        for coeff, (plus, minus) in zip(u.coeffs, self._scatter):
-            if coeff:
-                for i in plus:
-                    acc[i] += coeff
-                for i in minus:
-                    acc[i] -= coeff
-        rows = [tuple(acc[i:i + N]) for i in range(0, 2 * N * N, N)]
-        return tuple(rows[:N]), tuple(rows[N:])
+    def _check_faithful(self, table: np.ndarray) -> None:
+        # The Hermitian Gram matrix of the flattened blade matrices must be
+        # N*I.  Orthogonality makes the blades linearly independent, so the
+        # representation is faithful on the real algebra; orthogonality to
+        # the identity makes every non-scalar blade traceless, which is what
+        # makes Tr(U) = N * <U>_0.  With x = [re, im] and y = [-im, re] the
+        # flattened column blocks, Re G = x x^T and Im G = -x y^T.
+        sig = self.sig
+        N, dim = sig.N, sig.dim
+        x = table[:, :, :N].reshape(dim, -1)
+        y = table[:, :, N:].reshape(dim, -1)
+        # einsum, not matmul: numpy's int64 matmul is slower here.
+        gram = np.einsum("ax,bx->ab", x, np.concatenate([x, y]))
+        expected = np.zeros_like(gram)
+        expected[:, :dim] = N * np.eye(dim, dtype=np.int64)
+        bad = np.argwhere(gram != expected)
+        if bad.size:
+            a, b = bad[0]
+            raise ConsistencyError(
+                f"blades {a} and {b % dim} are not orthogonal in {sig}: two blades "
+                f"are proportional, or a non-scalar blade has nonzero trace"
+            )
 
 
 _REPRESENTATIONS: dict[Signature, Representation] = {}
@@ -187,23 +153,32 @@ def build_representation(sig: Signature) -> Representation:
     return rep
 
 
+def _beta(u: Multivector) -> tuple[np.ndarray, int]:
+    """(B, D): B the 2N x 2N real form of D*beta(u), with D the common
+    denominator of u's coefficients for an exact u and 1 for a float u."""
+    sig = u.sig
+    table = build_representation(sig).table
+    size = 2 * sig.N
+    if u.is_float:
+        # einsum, not matmul: a float matmul this wide goes through BLAS.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.einsum("a,ax->x", np.array(u.coeffs), table).reshape(size, size), 1
+    den = common_denominator(u.coeffs)
+    row = [c.numerator * (den // c.denominator) for c in u.coeffs]
+    dtype = _int_dtype(max(map(abs, row)) << sig.n)
+    return (np.array(row, dtype) @ table).reshape(size, size), den
+
+
 def represent(u: Multivector) -> Matrix:
     """beta(u) as (real rows, imaginary rows) in u's backend: the linear
-    extension of the blade matrices."""
-    return build_representation(u.sig).matrix(u)
-
-
-def _to_numpy(mat: Matrix) -> np.ndarray:
-    re, im = mat
-    return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
-
-
-def _scaled_ints(u: Multivector, mat: Matrix) -> tuple[int, list, list]:
-    """(D, D*mat as Gaussian-integer row lists), D the common denominator of
-    u's coefficients; mat = beta(u)."""
-    den = common_denominator(u.coeffs)
-    re, im = ([[int(x * den) for x in row] for row in part] for part in mat)
-    return den, re, im
+    extension of the blade matrices.  Exact entries are in normal form."""
+    b, den = _beta(u)
+    N = u.sig.N
+    parts = b[:N, :N].tolist(), b[N:, :N].tolist()
+    if den == 1:
+        return tuple(tuple(map(tuple, part)) for part in parts)
+    return tuple(tuple(tuple(exact_ratio(x, den) for x in row) for row in part)
+                 for part in parts)
 
 
 def _det_bareiss(re: list, im: list) -> tuple[int, int]:
@@ -242,16 +217,6 @@ def _det_bareiss(re: list, im: list) -> tuple[int, int]:
     return sign * re[d - 1][d - 1], sign * im[d - 1][d - 1]
 
 
-def _gauss_matmul(ar: list, ai: list, br: list, bi: list) -> tuple[list, list]:
-    """(ar + i*ai) @ (br + i*bi) over row lists."""
-    cols = list(zip(zip(*br), zip(*bi)))
-    out_r, out_i = [], []
-    for xr, xi in zip(ar, ai):
-        out_r.append([sum(map(mul, xr, cr)) - sum(map(mul, xi, ci)) for cr, ci in cols])
-        out_i.append([sum(map(mul, xr, ci)) + sum(map(mul, xi, cr)) for cr, ci in cols])
-    return out_r, out_i
-
-
 def _require_real_float(value: complex, context: str) -> float:
     if not cmath.isfinite(value):
         raise FloatRangeError(f"{context} is outside the float range: {value}")
@@ -262,51 +227,50 @@ def _require_real_float(value: complex, context: str) -> float:
 
 def det_matrix(u: Multivector) -> Scalar:
     """Det(u) = det(beta(u)); exact Gaussian-integer Bareiss or float LU."""
-    mat = represent(u)
+    b, den = _beta(u)
+    N = u.sig.N
     if u.is_float:
         with np.errstate(over="ignore", invalid="ignore"):
-            det = complex(np.linalg.det(_to_numpy(mat)))
+            det = complex(np.linalg.det(b[:N, :N] + 1j * b[N:, :N]))
         return _require_real_float(det, "det(beta(u))")
-    den, re, im = _scaled_ints(u, mat)
-    det_r, det_i = _det_bareiss(re, im)
+    det_r, det_i = _det_bareiss(b[:N, :N].tolist(), b[N:, :N].tolist())
     if det_i:
         raise ConsistencyError(f"det(beta(u)) has nonzero imaginary part: {det_i}")
-    return exact_ratio(det_r, den ** u.sig.N)
+    return exact_ratio(det_r, den ** N)
 
 
 def charpoly_matrix(u: Multivector) -> CharPoly:
     """Characteristic coefficients from the trace recursion on beta(u)."""
     sig = u.sig
     N = sig.N
-    mat = represent(u)
+    b, den = _beta(u)
+    exact = not u.is_float
+    dtype = np.float64
+    b_max = int(abs(b).max()) if exact else 0
+    k_block = b[:, :N]
     coeffs = []
-    if u.is_float:
-        m = _to_numpy(mat)
-        mk = m
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, N + 1):
-                t = complex(np.trace(mk))
-                ck = _require_real_float(t, f"trace of step-{k} matrix") / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, N + 1):
+            trace_r = sum(k_block.diagonal().tolist())
+            trace_i = sum(k_block.diagonal(-N).tolist())
+            if exact:
+                if trace_i:
+                    raise ConsistencyError(f"trace of step-{k} matrix has nonzero imaginary part")
+                ck, rem = divmod(trace_r, k)
+                if rem:
+                    raise ConsistencyError(f"trace of step-{k} matrix is not divisible by {k}")
+                coeffs.append(exact_ratio(ck, den ** k))
+            else:
+                ck = _require_real_float(complex(trace_r, trace_i),
+                                         f"trace of step-{k} matrix") / k
                 coeffs.append(ck)
-                if k < N:
-                    mk = m @ (mk - ck * np.eye(N))
-        return CharPoly(sig, tuple(coeffs))
-    # On M = D*beta(u) the recursion stays in Gaussian integers, and its
-    # coefficients are D**k times those of beta(u).
-    den, mr, mi = _scaled_ints(u, mat)
-    kr, ki = mr, mi
-    for k in range(1, N + 1):
-        if sum(ki[r][r] for r in range(N)):
-            raise ConsistencyError(f"trace of step-{k} matrix has nonzero imaginary part")
-        ck, rem = divmod(sum(kr[r][r] for r in range(N)), k)
-        if rem:
-            raise ConsistencyError(f"trace of step-{k} matrix is not divisible by {k}")
-        coeffs.append(exact_ratio(ck, den ** k))
-        if k < N:
-            shifted = [row[:] for row in kr]
-            for r in range(N):
-                shifted[r][r] -= ck
-            kr, ki = _gauss_matmul(mr, mi, shifted, ki)
+            if k < N:
+                if exact:
+                    dtype = _int_dtype(b_max * (int(abs(k_block).max()) + abs(ck)) * 2 * N)
+                # K - ck*[I; 0]: ck comes off the diagonal of the top block.
+                shifted = k_block.astype(dtype)
+                shifted.flat[:N * N:N + 1] -= ck
+                k_block = b.astype(dtype, copy=False) @ shifted
     return CharPoly(sig, tuple(coeffs))
 
 

@@ -5,9 +5,29 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from gadet import Multivector, Signature, all_signatures, random_multivector
+import gadet
+from gadet import (Multivector, Signature, algebra, all_signatures, charpoly, cli, formulas,
+                   matrix_rep, random_multivector, vieta)
 
 SIGNATURES = all_signatures()
+
+#: Every entry point of the matrix oracle.
+MATRIX_ORACLE = (matrix_rep.build_representation, matrix_rep.represent,
+                 matrix_rep.det_matrix, matrix_rep.charpoly_matrix,
+                 matrix_rep.eigenvalues)
+
+
+def forbid(monkeypatch, functions, message: str) -> None:
+    """Replace each of ``functions`` by one that raises AssertionError, in
+    the package and in every module that holds it, so no caller reaches it
+    through an imported name."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for module in (gadet, algebra, charpoly, formulas, vieta, matrix_rep, cli):
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in functions):
+                monkeypatch.setattr(module, name, forbidden)
 
 
 def random_mvs(sig: Signature, count: int, seed: int, *, float_backend=False):

@@ -24,9 +24,9 @@ from gadet import (
     fl_coefficients,
     inverse,
 )
-from gadet import charpoly, matrix_rep
+from gadet import charpoly
 from gadet.cli import METHODS
-from helpers import SIGNATURES, random_mvs, same_typed
+from helpers import MATRIX_ORACLE, SIGNATURES, forbid, random_mvs, same_typed
 
 
 def test_identity_coefficients_are_binomial():
@@ -169,11 +169,8 @@ def test_charpoly_interp_float_backend():
 
 
 def test_charpoly_interp_is_independent_of_fl_coefficients_and_matrix(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("charpoly_interp must not call this")
-
-    monkeypatch.setattr(charpoly, "fl_coefficients", forbidden)
-    monkeypatch.setattr(matrix_rep, "represent", forbidden)
+    forbid(monkeypatch, (charpoly.fl_coefficients,) + MATRIX_ORACLE,
+           "charpoly_interp must not call fl_coefficients or the matrix oracle")
     u = random_mvs(Signature(3, 1), 1, 31)[0]
     assert charpoly_interp(u.to_float()).coeffs == charpoly_interp(u).to_float().coeffs
 
@@ -276,6 +273,15 @@ def test_scaled_recursion_is_exact_across_the_int64_guard():
             assert same_typed(charpoly_interp(u).coeffs, cp.coeffs)
             assert u * adjugate(u) == det * e
             assert u * inverse(u) == e
+    # Integer rows that fit int64 while beta(u) does not (every |V_i| below
+    # 2**63 <= max|V| * 2**n), so only the oracle's contraction guard keeps
+    # it exact; and rows of 10**12, whose oracle recursion leaves int64.
+    r = random.Random(17)
+    for sig in (Signature(6, 0), Signature(0, 6)):
+        for top in (2 ** 62, 10 ** 12):
+            u = Multivector(sig, (r.randint(-top, top) for _ in range(sig.dim)))
+            assert same_typed([det_fl(u)], [det_matrix(u)])
+            assert same_typed(fl_coefficients(u).coeffs, charpoly_matrix(u).coeffs)
 
 
 def test_stack_int64_guard_is_exact_at_its_boundary():

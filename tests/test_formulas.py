@@ -23,7 +23,7 @@ from gadet import (
     formula_to_json,
 )
 from gadet.formulas import _CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, format_formula
-from helpers import SIGNATURES, random_mvs, same_typed
+from helpers import MATRIX_ORACLE, SIGNATURES, forbid, random_mvs, same_typed
 
 
 def test_catalog_coverage():
@@ -219,10 +219,28 @@ def test_formula_json_rejects_malformed_input():
         edit(find(data["terms"][0]["tree"], kind))
         return data
 
+    def edited(n, edit):
+        data = formula_to_json(det_formula(n))
+        edit(data)
+        return data
+
+    def first_term(**fields):
+        return lambda data: data["terms"][0].update(fields)
+
+    # A well-formed 32-slot formula, but for n = 9, which no signature has.
+    slots = [{"op": "slot", "index": i} for i in range(1, 33)]
+    n9 = {"n": 9, "family": "triangle",
+          "terms": [{"weight": "1", "tree": {"op": "product", "factors": slots}}]}
     bad_inputs = [
         malformed(1, "grade_involution", lambda conj: conj.update(kind="foo")),
         malformed(6, "delta", lambda conj: conj.update(j=4)),  # n = 6 has delta1..3
         malformed(6, "delta", lambda conj: conj.pop("j")),
+        edited(2, first_term(weight="1/0")),
+        edited(2, first_term(weight=None)),
+        edited(2, first_term(tree=[{"op": "slot", "index": 1}])),
+        edited(2, lambda data: data.update(terms={"weight": "1"})),
+        edited(2, lambda data: data.update(terms=5)),
+        n9,
     ]
     for data in bad_inputs:
         with pytest.raises(ValueError):
@@ -353,8 +371,8 @@ def test_formula_and_vieta_routes_do_not_use_fl_or_the_matrix_oracle(monkeypatch
     # fl recursion, and nothing with the matrix oracle: with both replaced by
     # a function that raises, they still give the right results.
     import gadet
-    from gadet import adjugate, charpoly, cli, f_function, fl_coefficients, matrix_rep, \
-        vieta_all, vieta_coefficient
+    from gadet import adjugate, charpoly, f_function, fl_coefficients, vieta_all, \
+        vieta_coefficient
 
     r = random.Random(16)
     cases = []
@@ -367,19 +385,9 @@ def test_formula_and_vieta_routes_do_not_use_fl_or_the_matrix_oracle(monkeypatch
             cases.append((x, det_fl(x), adjugate(x), fl_coefficients(x),
                           xs, _by_multivectors(det_formula(sig.n), xs)))
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("formula and Vieta routes must not call fl or matrix_rep")
-
-    replaced = [charpoly._fl_stack, charpoly.det_fl, charpoly.fl_coefficients,
-                matrix_rep.build_representation, matrix_rep.represent,
-                matrix_rep.det_matrix, matrix_rep.charpoly_matrix,
-                matrix_rep.eigenvalues]
-    modules = [gadet, gadet.algebra, charpoly, gadet.formulas, gadet.vieta,
-               matrix_rep, cli]
-    for module in modules:
-        for name, value in list(vars(module).items()):
-            if any(value is fn for fn in replaced):
-                monkeypatch.setattr(module, name, forbidden)
+    forbid(monkeypatch,
+           (charpoly._fl_stack, charpoly.det_fl, charpoly.fl_coefficients) + MATRIX_ORACLE,
+           "formula and Vieta routes must not call fl or matrix_rep")
     with pytest.raises(AssertionError):
         gadet.det_fl(cases[0][0])
 

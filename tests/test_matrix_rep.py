@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gadet import (
@@ -19,20 +20,14 @@ from gadet import (
     fl_coefficients,
     represent,
 )
-from gadet import charpoly, matrix_rep
+from gadet import algebra, charpoly, formulas, matrix_rep
 from gadet.matrix_rep import Representation
-from helpers import SIGNATURES, random_mvs
+from helpers import SIGNATURES, forbid, random_mvs
 
 
-def dense(mono):
-    """A monomial (cols, phases) matrix as (real rows, imaginary rows)."""
-    cols, phases = mono
-    unit = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-    re = tuple(tuple(unit[p][0] if c == col else 0 for c in range(len(cols)))
-               for col, p in zip(cols, phases))
-    im = tuple(tuple(unit[p][1] if c == col else 0 for c in range(len(cols)))
-               for col, p in zip(cols, phases))
-    return re, im
+def dense(m):
+    """A complex generator array as (real rows, imaginary rows) of ints."""
+    return tuple(tuple(map(tuple, part.astype(int).tolist())) for part in (m.real, m.imag))
 
 
 def scalar_matrix(value, dim):
@@ -66,21 +61,23 @@ def test_construction_self_checks_pass_everywhere():
 
 
 def _corrupt_phase(gens):
-    cols, phases = gens[0]
-    return [(cols, ((phases[0] + 1) % 4,) + phases[1:])] + gens[1:]
+    g = gens[0].copy()
+    g[0] *= 1j
+    return [g] + gens[1:]
 
 
 def _corrupt_column(gens):
-    cols, phases = gens[0]
-    return [(tuple(range(len(cols))), phases)] + gens[1:]
+    # Each row's one entry moved onto the diagonal.
+    return [np.diag(gens[0].sum(axis=1))] + gens[1:]
 
 
 def _unnegated_last_block(gens):
     # The odd-n last generator with equal, not opposite, blocks still
     # satisfies every relation but makes the pseudoscalar a multiple of I.
-    cols, phases = gens[-1]
-    half = len(phases) // 2
-    return gens[:-1] + [(cols, phases[:half] * 2)]
+    g = gens[-1].copy()
+    half = len(g) // 2
+    g[half:, half:] = g[:half, :half]
+    return gens[:-1] + [g]
 
 
 @pytest.mark.parametrize("corrupt, sig, message", [
@@ -179,9 +176,11 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
         raise AssertionError("the matrix oracle must not use the geometric product")
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
-    # The product table's gather, and the trace recursion's stack kernel.
+    # The product table's gather, fl's integer scaling and stack kernel, and
+    # the term-tree evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
-    monkeypatch.setattr(charpoly, "_fl_stack", forbidden)
+    forbid(monkeypatch, (algebra._integer_row, charpoly._fl_stack, formulas.evaluate_terms),
+           "the matrix oracle must not use the other methods' kernels")
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})
     for u, det, cp in expected:
