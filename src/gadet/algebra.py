@@ -25,19 +25,26 @@ sign(i, j) * e_(i^j), so output k of a*b is
 one numpy contraction of a against a dim x dim gather of b.  Each signature
 stores the table once, as indices into [b, -b], so no sign multiplies are
 needed; ``Signature._right_factors`` gathers a whole stack of right factors
-at once, as the trace recursion in ``charpoly`` and the term-tree evaluator
-in ``formulas`` do.  Floats contract in float64.  Exact operands are first
-scaled to ints by their common denominators, contracted, then divided back
-once.  The contraction runs in int64 when
+at once, as the trace recursion in ``charpoly`` does.
 
-    max|a_i| * max|b_j| * 2**n < 2**63,
+One kernel, ``_product``, multiplies stacks: (d+1, 2**n) arrays, the
+multivector coefficients of a polynomial in a commuting scalar t (d = 0 for
+a plain multivector).  ``Multivector`` products, the term-tree evaluator in
+``formulas`` and the Vieta polynomials in ``vieta`` all run on it.  Floats
+contract in float64 and raise FloatRangeError where a value leaves the
+double range.  Exact values are scaled to integers once, U = V/D
+(``_slots``), contracted, then divided back once (``_to_multivector``).  An
+integer contraction of a left stack L by a right stack R runs in int64 when
+
+    max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
 
 else in object dtype (Python ints, which cannot overflow).  The bound is
-sufficient: each c_k, and each partial sum on the way to it, is a sum of at
-most 2**n products a_i * b_j, none larger in magnitude than
-max|a_i| * max|b_j|, so no int64 intermediate leaves [-(2**63 - 1), 2**63 - 1].
-Every integer kernel of the package picks its dtype from such a bound with
-:func:`_int_dtype`.
+sufficient: each output coefficient of one t-degree, and each partial sum
+on the way to it, is a sum of at most min(d_L + 1, d_R + 1) * 2**n products,
+none larger in magnitude than max|L| * max|R|, so no int64 intermediate
+leaves [-(2**63 - 1), 2**63 - 1].  For two multivectors (d_L = d_R = 0) it
+reads max|a| * max|b| * 2**n < 2**63.  Every integer kernel of the package
+picks its dtype from such a bound with :func:`_int_dtype`.
 
 Exact +, - and scaling keep normal form (an int when whole) and skip the
 normalising pass when every result coefficient is an int, which holds
@@ -55,7 +62,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -215,27 +222,20 @@ class Signature:
             common ^= low
         return a ^ b, sign
 
-    def conjugation_signs(self, conj: Conjugation) -> tuple[int, ...]:
-        """Per-blade sign vector of a conjugation (cached)."""
-        return self._conjugation(conj)[0]
-
-    def _sign_vector(self, conj: Conjugation) -> np.ndarray:
-        """``conjugation_signs`` as an int64 array: a stack of coefficient
-        rows times it is the stack's conjugate."""
-        return self._conjugation(conj)[1]
-
-    def _conjugation(self, conj: Conjugation) -> tuple[tuple[int, ...], np.ndarray]:
+    def conjugation_signs(self, conj: Conjugation) -> np.ndarray:
+        """Per-blade sign vector of a conjugation, as an int64 array (cached):
+        a stack of coefficient rows times it is the stack's conjugate."""
         key = (conj.kind, conj.j)
-        entry = self._conjugations.get(key)
-        if entry is None:
+        signs = self._conjugations.get(key)
+        if signs is None:
             if conj.kind == "delta" and conj.j > self.m:
                 raise ValueError(
                     f"delta({conj.j}) is not defined for n = {self.n} (1 <= j <= {self.m})"
                 )
             per_grade = [_grade_sign(conj, k) for k in range(self.n + 1)]
-            signs = tuple(per_grade[g] for g in self.grades)
-            entry = self._conjugations[key] = (signs, np.array(signs, np.int64))
-        return entry
+            signs = self._conjugations[key] = np.array([per_grade[g] for g in self.grades],
+                                                       np.int64)
+        return signs
 
     def available_conjugations(self) -> tuple[Conjugation, ...]:
         """Every conjugation defined for this algebra."""
@@ -319,6 +319,92 @@ def _integer_row(u: "Multivector") -> tuple[list, int]:
     if d == 1:
         return list(coeffs), 1
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+# ---------------------------------------------------------------------------
+# stacks: the product kernel of the module docstring
+
+
+def _max_abs(stack: np.ndarray) -> int:
+    return int(abs(stack).max())
+
+
+def _slots(values: Sequence["Multivector"]) -> tuple[list[tuple], list[int]]:
+    """Each value as a slot (stack, top) with value = V / D, and the Ds: the
+    stack is the (1, dim) array [V] and top = max|V|.  When any value is
+    float, every stack is float64 with top None and D = 1; otherwise V holds
+    integers, in int64 when they fit."""
+    sig = values[0].sig
+    if any(v.sig is not sig for v in values):
+        raise SignatureMismatchError("slot values from different algebras")
+    if any(v.is_float for v in values):
+        return ([(np.array([v.to_float().coeffs], np.float64), None) for v in values],
+                [1] * len(values))
+    slots, dens = [], []
+    for v in values:
+        row, d = _integer_row(v)
+        top = max(map(abs, row))
+        slots.append((np.array([row], _int_dtype(top)), top))
+        dens.append(d)
+    return slots, dens
+
+
+def _plus_constant(slot, c: int):
+    """The degree-1 slot c*e + t*V from the slot V."""
+    v, top = slot
+    if top is not None:
+        top = max(top, c)
+        v = v.astype(_int_dtype(top), copy=False)
+    e = np.zeros_like(v)
+    e[0, 0] = c
+    return np.concatenate((e, v)), top
+
+
+def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
+    """The product of two slots (stack, top), with top an upper bound on
+    max|stack|, None for a float stack: returns the product's slot.  t
+    commutes, so coefficient i of the left times coefficient j of the right
+    lands in degree i + j, the left factor staying on the left."""
+    (a, a_top), (b, b_top) = left, right
+    if a_top is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _contract(sig, a, b)
+        if not np.isfinite(out).all():
+            raise FloatRangeError("a float geometric product is outside the "
+                                  "double range (inf or nan)")
+        return out, None
+    # The int64 bound of the module docstring.  The tops may be loose:
+    # tighten them before leaving int64.
+    pairs = min(len(a), len(b)) << sig.n
+    bound = a_top * b_top * pairs
+    if bound >= 1 << 63:
+        bound = _max_abs(a) * _max_abs(b) * pairs
+    dtype = _int_dtype(bound)
+    return _contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False)), bound
+
+
+def _contract(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a times b, shift-added by t-degree, in the stacks' dtype; ``_product``
+    picks the dtype and checks the range."""
+    parts = a @ sig._right_factors(b)  # parts[j, i] = a[i] * b[j]
+    if len(a) == 1:
+        return parts[:, 0]
+    out = np.zeros((len(a) + len(b) - 1, sig.dim), parts.dtype)
+    for j, part in enumerate(parts):
+        out[j:j + len(a)] += part
+    return out
+
+
+def _to_multivector(sig: Signature, row: np.ndarray, scale) -> "Multivector":
+    """The multivector row / scale; a float row goes through the
+    constructor's range check."""
+    if row.dtype == np.float64:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Multivector(sig, (row / scale).tolist())
+    coeffs = row.tolist()
+    if scale != 1:
+        coeffs = [exact_ratio(c, scale) for c in coeffs]
+    return Multivector._raw(sig, tuple(coeffs), False)
 
 
 def exact_ratio(num, den):
@@ -469,7 +555,7 @@ class Multivector:
     # -- conjugations ------------------------------------------------------
 
     def conjugate(self, conj: Conjugation) -> "Multivector":
-        signs = self.sig.conjugation_signs(conj)
+        signs = self.sig.conjugation_signs(conj).tolist()
         coeffs = tuple(c if s > 0 else -c for c, s in zip(self.coeffs, signs))
         return Multivector._raw(self.sig, coeffs, self._float)
 
@@ -561,39 +647,16 @@ class Multivector:
         return NotImplemented
 
     def _geometric_product(self, other: "Multivector") -> "Multivector":
-        sig = self.sig
         a, b = self.coeffs, other.coeffs
         # Scalar operands reduce to a scale; this also covers the identity.
         if not any(a[1:]):
             return other._scale(a[0])
         if not any(b[1:]):
             return self._scale(b[0])
-        is_float = self._float or other._float
-        den = 1
-        dtype = float
-        if not is_float:
-            # Factor out the (small) common denominators, contract in plain
-            # int arithmetic, divide back once.
-            da = common_denominator(a)
-            db = common_denominator(b)
-            if da != 1:
-                a = tuple(int(c * da) for c in a)
-            if db != 1:
-                b = tuple(int(c * db) for c in b)
-            den = da * db
-            # The int64 bound of the module docstring.
-            dtype = _int_dtype(max(map(abs, a)) * max(map(abs, b)) << sig.n)
-        a = np.array(a, dtype)
-        b = np.array(b, dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = a @ sig._right_factors(b)
-        if is_float and not np.isfinite(prod).all():
-            raise FloatRangeError("a float geometric product is outside the "
-                                  "double range (inf or nan)")
-        coeffs = prod.tolist()
-        if den != 1:
-            coeffs = [exact_ratio(c, den) for c in coeffs]
-        return Multivector._raw(sig, tuple(coeffs), is_float)
+        # u * v = (V / Du) * (W / Dv) = V * W / (Du * Dv).
+        (v, w), (du, dv) = _slots((self, other))
+        row, _ = _product(self.sig, v, w)
+        return _to_multivector(self.sig, row[0], du * dv)
 
     # -- comparison --------------------------------------------------------
 

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (Multivector, Scalar, Signature, _int_dtype, _integer_row,
-                      _normalize_exact, close, exact_ratio)
+                      _normalize_exact, _to_multivector, close, exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
@@ -166,37 +166,30 @@ def _fl_stack(sig: Signature, rows: list, is_float: bool):
 
 def _fl_run(u: Multivector):
     """The recursion on one multivector u = V / D: (C1(V), ..., CN(V)),
-    the coefficients of W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in
-    float64 with D = 1."""
+    the row W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64
+    with D = 1."""
     row, d = (u.coeffs, 1) if u.is_float else _integer_row(u)
     coeffs, w = _fl_stack(u.sig, [row], u.is_float)
-    return [c[0] for c in coeffs], w[0].tolist(), d
-
-
-def _divide(num, den):
-    """num / den, in normal form when both are ints."""
-    if type(num) is float:
-        return num / den
-    return num if den == 1 else exact_ratio(num, den)
+    return [c[0] for c in coeffs], w[0], d
 
 
 def fl_coefficients(u: Multivector) -> CharPoly:
     """All characteristic coefficients of u by the trace recursion."""
     coeffs, _, d = _fl_run(u)
-    return CharPoly(u.sig, tuple(_divide(c, d ** k) for k, c in enumerate(coeffs, 1)))
+    return CharPoly(u.sig, tuple(c if d == 1 else exact_ratio(c, d ** k)
+                                 for k, c in enumerate(coeffs, 1)))
 
 
 def det_fl(u: Multivector) -> Scalar:
     """Det(u) = -CN via the trace recursion."""
     coeffs, _, d = _fl_run(u)
-    return _divide(-coeffs[-1], d ** u.sig.N)
+    return -coeffs[-1] if d == 1 else exact_ratio(-coeffs[-1], d ** u.sig.N)
 
 
 def adjugate(u: Multivector) -> Multivector:
     """Adj(u) = C(N-1)*e - U(N-1), so that u*Adj(u) = Adj(u)*u = Det(u)*e."""
     _, w, d = _fl_run(u)
-    scale = d ** (u.sig.N - 1)
-    return Multivector(u.sig, [_divide(-x, scale) for x in w])
+    return _to_multivector(u.sig, -w, d ** (u.sig.N - 1))
 
 
 def inverse(u: Multivector) -> Multivector:
@@ -205,8 +198,11 @@ def inverse(u: Multivector) -> Multivector:
     det = -coeffs[-1]
     if det == 0:
         raise NotInvertibleError(det)
-    # Adj(u) / Det(u) = (-W / D**(N-1)) / (det / D**N) = -W * D / det.
-    return Multivector(u.sig, [_divide(-x * d, det) for x in w])
+    # Adj(u) / Det(u) = (-W / D**(N-1)) / (det / D**N) = -W * D / det, with
+    # W * D in Python ints: an int64 row times D can overflow unchecked.
+    if d != 1:
+        w = w.astype(object) * d
+    return _to_multivector(u.sig, -w, det)
 
 
 def _newton_interpolate(nodes: Sequence, values: Sequence):

@@ -19,27 +19,22 @@ algebraic simplification is performed.  The catalog is exportable as a
 documented JSON term-tree format (see ``formula_to_json``).
 
 ``evaluate_terms`` is the one term-tree evaluator, and it runs on stacks,
-not on multivectors.  A slot value is a (d+1, 2**n) array, the multivector
-coefficients of a polynomial in a commuting scalar t (d = 0 for a plain
-multivector).  A product gathers the right operand through the product
-table once for all its t-coefficients, runs one batched matmul and
-shift-adds the results by t-degree; a conjugation multiplies the stack by
-the cached sign vector.  Weights are scaled to integers, and the caller
-divides by their common denominator den once.
+not on multivectors: each slot value is a (d+1, 2**n) array, the
+multivector coefficients of a polynomial in a commuting scalar t (d = 0 for
+a plain multivector).  Products go through ``algebra``'s one stack kernel,
+and a conjugation multiplies the stack by the cached sign vector.  Weights
+are scaled to integers, and the caller divides by their common denominator
+den once.
 
 An exact input is scaled to integers once, U = V/D.  A term of k slots is
 homogeneous of degree k, so X(U) = X(V)/D**k and
 Det(U) = F(V, ..., V)/(den * D**N); separate slot values Vi/Di divide by
 D1 * ... * DN.  Scalarity is checked on the integer row before anything is
 divided, so only the scalar part becomes a Fraction.  Integer products run
-in int64 while
-
-    max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
-
-since degree k sums at most min(d_L + 1, d_R + 1) products, each under the
-``algebra`` module's bound, and the weighted sum while
-sum |w| * max|term| < 2**63; otherwise in object dtype.  Float stacks run
-in float64 and raise FloatRangeError where a value leaves the double range.
+in int64 under the bound of the ``algebra`` module docstring, and the
+weighted sum while sum |w| * max|term| < 2**63; otherwise in object dtype.
+Float stacks run in float64 and raise FloatRangeError where a value leaves
+the double range.
 """
 
 from __future__ import annotations
@@ -62,14 +57,17 @@ from .algebra import (
     _MAX_N,
     _MIN_N,
     _int_dtype,
-    _integer_row,
+    _max_abs,
     _normalize_exact,
+    _product,
+    _slots,
+    _to_multivector,
     charpoly_degree,
     common_denominator,
     delta,
     exact_ratio,
 )
-from .errors import ConsistencyError, FloatRangeError, SignatureMismatchError
+from .errors import ConsistencyError, FloatRangeError
 
 FAMILIES = ("triangle", "bar", "bar_tilde", "bar_tilde_hat")
 
@@ -300,77 +298,12 @@ def default_bar_family(n: int) -> str:
 # evaluation on stacks
 
 
-def _max_abs(stack: np.ndarray) -> int:
-    return int(abs(stack).max())
-
-
-def _slots(values: Sequence[Multivector]) -> tuple[list[tuple], list[int]]:
-    """Each value as a slot (stack, top) with value = V / D, and the Ds: the
-    stack is the (1, dim) array [V] and top = max|V|.  When any value is
-    float, every stack is float64 with top None and D = 1; otherwise V holds
-    integers, in int64 when they fit."""
-    sig = values[0].sig
-    if any(v.sig is not sig for v in values):
-        raise SignatureMismatchError("slot values from different algebras")
-    if any(v.is_float for v in values):
-        return ([(np.array([v.to_float().coeffs], np.float64), None) for v in values],
-                [1] * len(values))
-    slots, dens = [], []
-    for v in values:
-        row, d = _integer_row(v)
-        top = max(map(abs, row))
-        slots.append((np.array([row], _int_dtype(top)), top))
-        dens.append(d)
-    return slots, dens
-
-
-def _plus_constant(slot, c: int):
-    """The degree-1 slot c*e + t*V from the slot V."""
-    v, top = slot
-    if top is not None:
-        top = max(top, c)
-        v = v.astype(_int_dtype(top), copy=False)
-    e = np.zeros_like(v)
-    e[0, 0] = c
-    return np.concatenate((e, v)), top
-
-
-def _product(sig, left, right):
-    """The product of two (stack, top) slot values.  t commutes, so
-    coefficient i of the left times coefficient j of the right lands in
-    degree i + j, the left factor staying on the left."""
-    (a, a_top), (b, b_top) = left, right
-    if a_top is not None:
-        # The int64 bound of the module docstring.  The tops may be loose:
-        # tighten them before leaving int64.
-        pairs = min(len(a), len(b)) << sig.n
-        bound = a_top * b_top * pairs
-        if bound >= 1 << 63:
-            bound = _max_abs(a) * _max_abs(b) * pairs
-        dtype = _int_dtype(bound)
-        a = a.astype(dtype, copy=False)
-        b = b.astype(dtype, copy=False)
-    parts = a @ sig._right_factors(b)  # parts[j, i] = a[i] * b[j]
-    if len(a) == 1:
-        out = parts[:, 0]
-    elif len(b) == 1:
-        out = parts[0]
-    else:
-        out = np.zeros((len(a) + len(b) - 1, sig.dim), parts.dtype)
-        for j, part in enumerate(parts):
-            out[j:j + len(a)] += part
-    if a_top is None and not np.isfinite(out).all():
-        raise FloatRangeError("a float geometric product is outside the "
-                              "double range (inf or nan)")
-    return out, None if a_top is None else bound
-
-
 def _eval_node(sig, node: Node, values: Sequence):
     if isinstance(node, Slot):
         return values[node.index - 1]
     if isinstance(node, Conj):
         stack, top = _eval_node(sig, node.child, values)
-        return stack * sig._sign_vector(node.conj), top
+        return stack * sig.conjugation_signs(node.conj), top
     result = _eval_node(sig, node.factors[0], values)
     for factor in node.factors[1:]:
         result = _product(sig, result, _eval_node(sig, factor, values))
@@ -401,17 +334,6 @@ def evaluate_terms(sig, terms: Sequence[FormulaTerm], slots: Sequence[tuple]):
         bound = sum(abs(w) * _max_abs(stack) for w, (stack, _) in weighted)
     dtype = _int_dtype(bound)
     return sum(w * stack.astype(dtype, copy=False) for w, (stack, _) in weighted), den
-
-
-def _to_multivector(sig, row: np.ndarray, scale: int) -> Multivector:
-    """The multivector row / scale; a float row goes through the
-    constructor's range check."""
-    if row.dtype == np.float64:
-        return Multivector(sig, (row / scale).tolist())
-    coeffs = row.tolist()
-    if scale != 1:
-        coeffs = [exact_ratio(c, scale) for c in coeffs]
-    return Multivector._raw(sig, tuple(coeffs), False)
 
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:

@@ -2,14 +2,15 @@
 
 A cataloged determinant formula, read with its N occurrences of U numbered
 left to right as separate variables, is the paper's N-variable F-function
-(``f_function`` returns the ``DetFormula`` itself).  Summing F over every
-tuple with k slots holding U and N-k slots holding the identity e gives
-X(k), and C(k) = (-1)**(k+1) * X(k): the trace recursion's coefficients,
-derived from the highest one downward.  F is multilinear and each slot
-occurs once (``DetFormula`` checks this), so X(k) is the t**k coefficient of
+(``f_function`` is ``det_formula``).  Summing F over every tuple with k
+slots holding U and N-k slots holding the identity e gives X(k), and
+C(k) = (-1)**(k+1) * X(k): the trace recursion's coefficients, derived from
+the highest one downward.  F is multilinear and each slot occurs once
+(``DetFormula`` checks this), so X(k) is the t**k coefficient of
 F(e + tU, ..., e + tU), a polynomial in a commuting scalar t.
 ``formulas.evaluate_terms`` evaluates the term trees on it, so one pass
-gives every X(k).  C(N), the single all-U tuple, is evaluated directly.
+gives every X(k).  C(N), the single all-U tuple, is -Det(U) by
+``evaluate_det``.
 
 Each slot is a stack of two rows, [e, V], with U = V/D scaled to integers
 once: e + tV = e + (tD)U, so the t**k coefficient of F(e + tV, ..., e + tV)
@@ -18,8 +19,8 @@ is X(k)(V), and
     X(k)(U) = X(k)(V) / D**k.
 
 Scalarity is checked on the integer rows before the one division.  The
-products and sums stay in int64 under the evaluator's bound (see
-``formulas``) and run in object dtype beyond it.
+products stay in int64 under the bound of the ``algebra`` docstring, the
+sums under that of ``formulas``, and run in object dtype beyond them.
 
 The ordered solution sets (x_k, v_k, y_k) for n <= 3 read the descending
 elementary sums E_k of y_1..y_N off (e + t y_N) ... (e + t y_1) the same
@@ -33,7 +34,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import EIGEN_COMPARE_TOL, Multivector, Scalar
+from .algebra import (EIGEN_COMPARE_TOL, Multivector, Scalar, _plus_constant, _slots,
+                      _to_multivector)
 from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
 from .errors import NotGenericError
 from .formulas import (
@@ -41,21 +43,18 @@ from .formulas import (
     FormulaTerm,
     Prod,
     Slot,
-    _plus_constant,
     _require_dimension,
     _require_scalar,
     _scalar,
-    _slots,
-    _to_multivector,
     det_formula,
+    evaluate_det,
     evaluate_terms,
 )
 
-
-def f_function(n: int, family: str = "triangle", variant: str = "standard") -> DetFormula:
-    """The F-function of a cataloged determinant formula: the formula itself,
-    evaluated on separate slot values with ``DetFormula.evaluate``."""
-    return det_formula(n, family, variant)
+# The paper's N-variable F-function is a cataloged determinant formula read
+# with its N slots as separate variables (``DetFormula.evaluate``); the name
+# is kept so code written against the paper reads as it does.
+f_function = det_formula
 
 
 def _x_sums(f: DetFormula, u: Multivector):
@@ -86,10 +85,8 @@ def vieta_coefficient(f: DetFormula, u: Multivector, k: int) -> Scalar:
     if not 1 <= k <= f.arity:
         raise ValueError(f"k must be in 1..{f.arity}, got {k}")
     if k == f.arity:
-        # X(N) is the single all-U tuple, F(V, ..., V) / D**N.
-        (v,), (d,) = _slots((u,))
-        total, den = evaluate_terms(u.sig, f.terms, (v,) * f.arity)
-        return _coefficient(f, u, k, total[0], den * d ** k)
+        # X(N) is the single all-U tuple F(U, ..., U) = Det(U), and N is even.
+        return -evaluate_det(f, u)
     total, den, d = _x_sums(f, u)
     return _coefficient(f, u, k, total[k], den * d ** k)
 

@@ -316,6 +316,9 @@ def test_non_finite_floats_rejected_at_construction():
     for huge in (10**400, Fraction(10**400, 3)):
         with pytest.raises(FloatRangeError, match="float.*range"):
             Multivector.scalar(s, huge).to_float()
+        # ... also as the exact factor of a float product.
+        with pytest.raises(FloatRangeError, match="float.*range"):
+            Multivector(s, (huge, 1, 0, 0)) * Multivector(s, (1.0, 2.0, 0.0, 0.0))
 
 
 # -- algebraic laws on randomly generated coefficients ----------------------

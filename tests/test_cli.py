@@ -233,25 +233,33 @@ def test_check_command_json_float(capsys):
 
 
 def test_check_failures_carry_a_reproducer(capsys, monkeypatch):
-    from gadet import cli
+    from gadet import CharPoly, cli
     from gadet.matrix_rep import charpoly_matrix, det_matrix
 
-    broken = cli.Method(lambda u: det_matrix(u) + 1, charpoly_matrix)
-    monkeypatch.setitem(cli.METHODS, "matrix", broken)
-    code, out, _ = run(capsys, "check", "--sig", "2,0", "--trials", "3",
-                       "--format", "json")
-    assert code == 5
-    failures = json.loads(out)["failures"]
+    def shifted(u):  # the matrix charpoly with C1 off by one
+        cp = charpoly_matrix(u)
+        return CharPoly(cp.sig, (cp.coeffs[0] + 1,) + cp.coeffs[1:])
+
     s = Signature(2, 0)
     rng = random.Random(0)  # check's default seed
     inputs = [random_multivector(s, rng) for _ in range(3)]
-    assert [f["trial"] for f in failures] == [0, 1, 2]
-    for failure in failures:
-        u = parse_multivector(failure["input"], s)
-        assert u.coeffs == inputs[failure["trial"]].coeffs
-        code, _, _ = run(capsys, "det", "--sig", "2,0", "--method", "all",
-                         "--", failure["input"])
+    for kind, broken in (("det", cli.Method(lambda u: det_matrix(u) + 1, charpoly_matrix)),
+                         ("charpoly", cli.Method(det_matrix, shifted))):
+        monkeypatch.setitem(cli.METHODS, "matrix", broken)
+        code, out, _ = run(capsys, "check", "--sig", "2,0", "--trials", "3",
+                           "--format", "json")
         assert code == 5
+        failures = json.loads(out)["failures"]
+        assert [f["trial"] for f in failures] == [0, 1, 2]
+        assert {f["kind"] for f in failures} == {kind}
+        for failure in failures:
+            if kind == "charpoly":
+                assert failure["method"] == "matrix"
+            u = parse_multivector(failure["input"], s)
+            assert u.coeffs == inputs[failure["trial"]].coeffs
+            code, _, _ = run(capsys, kind, "--sig", "2,0", "--method", "all",
+                             "--", failure["input"])
+            assert code == 5
 
 
 def test_bench_command(capsys):

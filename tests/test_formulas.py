@@ -364,6 +364,10 @@ def test_float_overflow_in_the_stack_evaluator_raises():
     for route in routes:
         with pytest.raises(FloatRangeError, match="float.*range"):
             route()
+    # Each term is 1e308, finite; the weighted sum 1e308 + 2e308 is not.
+    u = Multivector.scalar(Signature(3, 0), 1e77)
+    with pytest.raises(FloatRangeError, match="sum of formula terms"):
+        evaluate_det(det_formula(3, "bar"), u)
 
 
 def test_formula_and_vieta_routes_do_not_use_fl_or_the_matrix_oracle(monkeypatch):

@@ -22,7 +22,7 @@ from gadet import (
 )
 from gadet import algebra, charpoly, formulas, matrix_rep
 from gadet.matrix_rep import Representation
-from helpers import SIGNATURES, forbid, random_mvs
+from helpers import SIGNATURES, forbid, random_mvs, same_typed
 
 
 def dense(m):
@@ -119,11 +119,17 @@ def test_identity_represents_as_identity_matrix():
 
 
 def test_representation_is_linear_and_multiplicative():
+    def entries(m):
+        return [x for part in m for row in part for x in row]
+
     for sig in SIGNATURES:
         u, v = random_mvs(sig, 2, 60)
         mu, mv = represent(u), represent(v)
         assert represent(u + v) == add(mu, mv)
         assert represent(u * v) == matmul(mu, mv)
+        # A rational input's entries are in normal form, an int when whole.
+        halves = [x // 2 if x % 2 == 0 else Fraction(x, 2) for x in entries(mu)]
+        assert same_typed(entries(represent(u / 2)), halves)
 
 
 def test_trace_identity():
@@ -176,10 +182,11 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
         raise AssertionError("the matrix oracle must not use the geometric product")
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
-    # The product table's gather, fl's integer scaling and stack kernel, and
-    # the term-tree evaluator.
+    # The product table's gather, the integer scaling, the stack product
+    # kernel, fl's stack kernel, and the term-tree evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
-    forbid(monkeypatch, (algebra._integer_row, charpoly._fl_stack, formulas.evaluate_terms),
+    forbid(monkeypatch, (algebra._integer_row, algebra._slots, algebra._product,
+                         charpoly._fl_stack, formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})

@@ -13,6 +13,7 @@ from gadet import (
     Multivector,
     NotGenericError,
     Signature,
+    SignatureMismatchError,
     coefficients_from_roots,
     default_bar_family,
     eigen_compare,
@@ -57,6 +58,8 @@ def test_f_function_arity_checked():
     f = f_function(2)
     with pytest.raises(ValueError):
         f.evaluate((Signature(2, 0).identity,))
+    with pytest.raises(SignatureMismatchError):
+        f.evaluate((Signature(2, 0).identity, Signature(1, 1).identity))
 
 
 def test_subset_mask_counts():
