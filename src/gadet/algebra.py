@@ -396,11 +396,15 @@ def _contract(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _to_multivector(sig: Signature, row: np.ndarray, scale) -> "Multivector":
-    """The multivector row / scale; a float row goes through the
-    constructor's range check."""
+    """The multivector row / scale; a float result is range-checked here,
+    once."""
     if row.dtype == np.float64:
         with np.errstate(over="ignore", invalid="ignore"):
-            return Multivector(sig, (row / scale).tolist())
+            row = row / scale
+        if not np.isfinite(row).all():
+            raise FloatRangeError("a float coefficient is outside the double "
+                                  "range (inf, nan or too large)")
+        return Multivector._raw(sig, tuple(row.tolist()), True)
     coeffs = row.tolist()
     if scale != 1:
         coeffs = [exact_ratio(c, scale) for c in coeffs]

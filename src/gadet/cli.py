@@ -50,8 +50,7 @@ from .formulas import (
     formula_to_json,
 )
 from .matrix_rep import charpoly_matrix, det_matrix, eigenvalues
-from .vieta import (eigen_compare, f_function, gelfand_retakh_ys, vieta_all,
-                    vieta_coefficient)
+from .vieta import eigen_compare, f_function, gelfand_retakh_ys, vieta_all
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +158,10 @@ def _input_multivector(args) -> Multivector:
 
 
 class Method(NamedTuple):
-    """A determinant route, and its characteristic-polynomial route if it
-    has one.  Each takes a multivector of either backend."""
+    """A method's determinant route and characteristic-polynomial route,
+    None where it has none.  Each takes a multivector of either backend."""
 
-    det: Callable[[Multivector], Scalar]
+    det: Callable[[Multivector], Scalar] | None = None
     charpoly: Callable[[Multivector], CharPoly] | None = None
 
 
@@ -175,15 +174,13 @@ def _closed(family: Callable[[int], str]) -> Method:
 
 
 def _vieta(family: Callable[[int], str]) -> Method:
-    def det(u):
-        f = f_function(u.sig.n, family(u.sig.n))
-        return -vieta_coefficient(f, u, f.arity)
-
-    return Method(det, lambda u: vieta_all(f_function(u.sig.n, family(u.sig.n)), u))
+    # Its C(N) is the closed-form determinant itself, so it has no det route.
+    return Method(charpoly=lambda u: vieta_all(f_function(u.sig.n, family(u.sig.n)), u))
 
 
-#: Every method, in output order.  closed-bar and vieta-bar use the
-#: fewest-term bar family available at the input's n.
+#: Every method, in output order; each computation is held once.
+#: closed-bar and vieta-bar use the fewest-term bar family available at
+#: the input's n.
 METHODS = {
     "fl": Method(det_fl, fl_coefficients),
     "closed-triangle": _closed(_triangle),
@@ -193,6 +190,7 @@ METHODS = {
     "matrix": Method(det_matrix, charpoly_matrix),
     "interp": Method(lambda u: charpoly_interp(u).det, charpoly_interp),
 }
+_DET_METHODS = tuple(m for m, spec in METHODS.items() if spec.det)
 _CHARPOLY_METHODS = tuple(m for m, spec in METHODS.items() if spec.charpoly)
 
 
@@ -204,7 +202,7 @@ def _cmd_det(args) -> int:
     payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
                "method": args.method}
     if args.method == "all":
-        dets = {m: spec.det(u) for m, spec in METHODS.items()}
+        dets = {m: METHODS[m].det(u) for m in _DET_METHODS}
         consistent = _values_agree(list(dets.values()))
         payload["det"] = _json_value(dets["fl"])
         payload["dets"] = {m: _json_value(v) for m, v in dets.items()}
@@ -222,11 +220,6 @@ def _cmd_det(args) -> int:
 def _cmd_charpoly(args) -> int:
     u = _input_multivector(args)
     every = args.method == "all"
-    if not every and METHODS[args.method].charpoly is None:
-        raise ParseError(
-            f"method {args.method!r} computes only the determinant; "
-            f"use vieta-{args.method.split('-')[1]} for coefficients"
-        )
     methods = _CHARPOLY_METHODS if every else (args.method,)
     cps = [METHODS[m].charpoly(u) for m in methods]
     cp = cps[0]
@@ -303,25 +296,20 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)
     float_backend = args.backend == "float"
     failures = []
-    det_methods = list(METHODS) + [
-        f"closed:{f.family}/{f.variant}" for f in available_formulas(sig.n)
-    ]
+    # closed-triangle and closed-bar are cataloged formulas: each formula is
+    # evaluated once, under its catalog name.
+    formulas = {f"closed:{f.family}/{f.variant}": f for f in available_formulas(sig.n)}
+    det_methods = [m for m in _DET_METHODS if not m.startswith("closed-")]
     for trial in range(args.trials):
         u = random_multivector(sig, rng, float_backend=float_backend)
-        dets, cps = {}, {}
-        for m, spec in METHODS.items():
-            if m == "interp":  # its det is -CN of its own charpoly: run it once
-                cps[m] = spec.charpoly(u)
-                dets[m] = cps[m].det
-            else:
-                dets[m] = spec.det(u)
-        for f in available_formulas(sig.n):
-            dets[f"closed:{f.family}/{f.variant}"] = evaluate_det(f, u)
+        cps = {m: METHODS[m].charpoly(u) for m in _CHARPOLY_METHODS}
+        # interp's det is -CN of its own charpoly: run it once.
+        dets = {m: cps[m].det if m == "interp" else METHODS[m].det(u)
+                for m in det_methods}
+        dets.update((name, evaluate_det(f, u)) for name, f in formulas.items())
         if not _values_agree(list(dets.values())):
             failures.append({"trial": trial, "kind": "det", "input": str(u),
                              "values": {m: _json_value(v) for m, v in dets.items()}})
-        cps = {m: cps[m] if m in cps else METHODS[m].charpoly(u)
-               for m in _CHARPOLY_METHODS}
         for m, cp in cps.items():
             if cp != cps["fl"]:
                 failures.append({"trial": trial, "kind": "charpoly", "input": str(u),
@@ -330,7 +318,7 @@ def _cmd_check(args) -> int:
     payload = {
         "signature": [sig.p, sig.q], "method": "check",
         "trials": args.trials, "seed": args.seed,
-        "methods": det_methods + list(_CHARPOLY_METHODS),
+        "methods": det_methods + list(formulas) + list(_CHARPOLY_METHODS),
         "consistent": consistent, "failures": failures,
     }
     _emit(args, payload, [
@@ -346,13 +334,14 @@ def _cmd_bench(args) -> int:
     float_backend = args.backend == "float"
     batch = [random_multivector(sig, rng, float_backend=float_backend)
              for _ in range(args.trials)]
-    for spec in METHODS.values():  # untimed, so first-call costs stay out
-        spec.det(batch[0])
+    for method in _DET_METHODS:  # untimed, so first-call costs stay out
+        METHODS[method].det(batch[0])
     results = {}
-    for method, spec in METHODS.items():
+    for method in _DET_METHODS:
+        det = METHODS[method].det
         start = time.perf_counter()
         for u in batch:
-            spec.det(u)
+            det(u)
         elapsed = time.perf_counter() - start
         results[method] = elapsed / len(batch) * 1e3
     payload = {
@@ -437,12 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("det", help="determinant of a multivector")
     _add_common(p)
-    p.add_argument("--method", choices=(*METHODS, "all"), default="fl")
+    p.add_argument("--method", choices=(*_DET_METHODS, "all"), default="fl")
     p.set_defaults(handler=_cmd_det)
 
     p = subs.add_parser("charpoly", help="characteristic coefficients C1..CN")
     _add_common(p)
-    p.add_argument("--method", choices=(*METHODS, "all"), default="fl")
+    p.add_argument("--method", choices=(*_CHARPOLY_METHODS, "all"), default="fl")
     p.set_defaults(handler=_cmd_charpoly)
 
     p = subs.add_parser("inverse", help="inverse and adjugate")

@@ -9,8 +9,10 @@ the highest one downward.  F is multilinear and each slot occurs once
 (``DetFormula`` checks this), so X(k) is the t**k coefficient of
 F(e + tU, ..., e + tU), a polynomial in a commuting scalar t.
 ``formulas.evaluate_terms`` evaluates the term trees on it, so one pass
-gives every X(k).  C(N), the single all-U tuple, is -Det(U) by
-``evaluate_det``.
+(``vieta_all``) gives every X(k), and ``vieta_coefficient`` reads one of
+them off it.  C(N), the single all-U tuple, is the determinant formula
+itself: ``vieta_coefficient(f, u, N)`` is -Det(U) by ``evaluate_det``, and
+the CLI has no separate Vieta determinant route.
 
 Each slot is a stack of two rows, [e, V], with U = V/D scaled to integers
 once: e + tV = e + (tD)U, so the t**k coefficient of F(e + tV, ..., e + tV)
@@ -57,50 +59,35 @@ from .formulas import (
 f_function = det_formula
 
 
-def _x_sums(f: DetFormula, u: Multivector):
-    """(P, den, D) with X(k) = P[k] / (den * D**k) for k = 0..N, where X(k)
-    is the weighted sum of F over every tuple with k slots holding u and the
-    rest holding e.  With u = V/D, P is F(e + tV, ..., e + tV) times the
-    weights' common denominator den."""
-    (v,), (d,) = _slots((u,))
-    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant(v, 1),) * f.arity)
-    return total, den, d
-
-
-def _coefficient(f: DetFormula, u: Multivector, k: int, x_k, scale: int) -> Scalar:
-    """C(k) = (-1)**(k+1) * X(k), with X(k) = x_k / scale shown to be scalar."""
-    scalar = _scalar(
-        u.sig, x_k, scale, f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})"
-    )
-    return scalar if k % 2 == 1 else -scalar
-
-
 def vieta_coefficient(f: DetFormula, u: Multivector, k: int) -> Scalar:
-    """C(k) = (-1)**(k+1) * sum of F over all tuples with k slots equal to u.
-
-    The summed multivector X(k) must be scalar (all grades >= 1 vanish) or
-    ConsistencyError is raised.
-    """
+    """C(k) = (-1)**(k+1) * sum of F over all tuples with k slots equal to u,
+    for an int k in 1..N: C(N) is -Det(u) by ``evaluate_det``, and every
+    other C(k) is read off ``vieta_all``."""
     _require_dimension(f, u)
-    if not 1 <= k <= f.arity:
-        raise ValueError(f"k must be in 1..{f.arity}, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= f.arity:
+        raise ValueError(f"k must be an int in 1..{f.arity}, got {k!r}")
     if k == f.arity:
         # X(N) is the single all-U tuple F(U, ..., U) = Det(U), and N is even.
         return -evaluate_det(f, u)
-    total, den, d = _x_sums(f, u)
-    return _coefficient(f, u, k, total[k], den * d ** k)
+    return vieta_all(f, u).coeffs[k - 1]
 
 
 def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
     """All C(1)..C(N) at once; equals fl_coefficients(u) exactly.
 
-    Every X(k) sum passes through the scalarity assertion.
+    With u = V/D, the t**k coefficient of F(e + tV, ..., e + tV), over the
+    weights' common denominator den, is X(k) * den * D**k.  Every X(k) must
+    be scalar (all grades >= 1 vanish) or ConsistencyError is raised.
     """
     _require_dimension(f, u)
-    total, den, d = _x_sums(f, u)
-    return CharPoly(u.sig, tuple(
-        _coefficient(f, u, k, total[k], den * d ** k) for k in range(1, f.arity + 1)
-    ))
+    (v,), (d,) = _slots((u,))
+    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant(v, 1),) * f.arity)
+    coeffs = []
+    for k in range(1, f.arity + 1):
+        x_k = _scalar(u.sig, total[k], den * d ** k,
+                      f"X({k}) sum of {f.family}/{f.variant} F-function (n={f.n})")
+        coeffs.append(x_k if k % 2 == 1 else -x_k)
+    return CharPoly(u.sig, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

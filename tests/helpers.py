@@ -17,17 +17,24 @@ MATRIX_ORACLE = (matrix_rep.build_representation, matrix_rep.represent,
                  matrix_rep.eigenvalues)
 
 
+def substitute(monkeypatch, functions, replacement) -> None:
+    """Replace each of ``functions`` by ``replacement(fn)``, in the package
+    and in every module that holds it, so no caller reaches it through an
+    imported name."""
+    for fn in functions:
+        new = replacement(fn)
+        for module in (gadet, algebra, charpoly, formulas, vieta, matrix_rep, cli):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, new)
+
+
 def forbid(monkeypatch, functions, message: str) -> None:
-    """Replace each of ``functions`` by one that raises AssertionError, in
-    the package and in every module that holds it, so no caller reaches it
-    through an imported name."""
+    """Replace each of ``functions`` by one that raises AssertionError."""
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
 
-    for module in (gadet, algebra, charpoly, formulas, vieta, matrix_rep, cli):
-        for name, value in list(vars(module).items()):
-            if any(value is fn for fn in functions):
-                monkeypatch.setattr(module, name, forbidden)
+    substitute(monkeypatch, functions, lambda fn: forbidden)
 
 
 def random_mvs(sig: Signature, count: int, seed: int, *, float_backend=False):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import gadet
 from gadet import Multivector, ParseError, Signature, random_multivector
 from gadet.cli import main, parse_multivector
+from helpers import substitute
 
 
 def run(capsys, *argv):
@@ -149,8 +151,7 @@ def test_det_all_methods_json(capsys):
     assert payload["det"] == 25
     assert payload["consistent"] is True
     assert list(payload["dets"]) == [
-        "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
-        "matrix", "interp",
+        "fl", "closed-triangle", "closed-bar", "matrix", "interp",
     ]
 
 
@@ -173,12 +174,14 @@ def test_charpoly_json_schema(capsys):
 
 
 def test_charpoly_rejects_det_only_method(capsys):
-    for family in ("triangle", "bar"):
-        code, _, err = run(capsys, "charpoly", "--sig", "2,0", "--method",
-                           f"closed-{family}", "1")
-        assert code == 2
-        assert err == (f"error: method 'closed-{family}' computes only the "
-                       f"determinant; use vieta-{family} for coefficients\n")
+    # Each subcommand accepts only the methods that compute its result: the
+    # closed forms give no coefficients, and Vieta's C(N) is a closed form.
+    for command, method in (("charpoly", "closed"), ("det", "vieta")):
+        for family in ("triangle", "bar"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--sig", "2,0", "--method", f"{method}-{family}", "1"])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{method}-{family}'" in capsys.readouterr().err
 
 
 def test_fractional_det_json_string(capsys):
@@ -226,8 +229,7 @@ def test_check_command_json_float(capsys):
     assert payload["failures"] == []
     assert payload["trials"] == 5
     assert payload["methods"] == [
-        "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
-        "matrix", "interp", "closed:bar/standard", "closed:triangle/standard",
+        "fl", "matrix", "interp", "closed:bar/standard", "closed:triangle/standard",
         "fl", "vieta-triangle", "vieta-bar", "matrix", "interp",
     ]
 
@@ -268,8 +270,7 @@ def test_bench_command(capsys):
     payload = json.loads(out)
     assert code == 0
     assert list(payload["ms_per_det"]) == [
-        "fl", "closed-triangle", "closed-bar", "vieta-triangle", "vieta-bar",
-        "matrix", "interp",
+        "fl", "closed-triangle", "closed-bar", "matrix", "interp",
     ]
     assert all(v >= 0 for v in payload["ms_per_det"].values())
 
@@ -277,36 +278,50 @@ def test_bench_command(capsys):
 def test_bench_warms_up_each_method(capsys, monkeypatch):
     from gadet import cli
 
-    calls = dict.fromkeys(cli.METHODS, 0)
-    for name, spec in list(cli.METHODS.items()):
-        def counted(u, name=name, det=spec.det):
+    dets = [name for name, spec in cli.METHODS.items() if spec.det]
+    calls = dict.fromkeys(dets, 0)
+    for name in dets:
+        def counted(u, name=name, det=cli.METHODS[name].det):
             calls[name] += 1
             return det(u)
-        monkeypatch.setitem(cli.METHODS, name, spec._replace(det=counted))
+        monkeypatch.setitem(cli.METHODS, name, cli.METHODS[name]._replace(det=counted))
     code, _, _ = run(capsys, "bench", "--sig", "2,0", "--trials", "3")
     assert code == 0
-    assert calls == dict.fromkeys(cli.METHODS, 4)
+    assert calls == dict.fromkeys(dets, 4)
 
 
 def test_check_runs_interp_once_per_trial(capsys, monkeypatch):
+    # check runs each computation once per trial: each characteristic-
+    # polynomial route, the fl and matrix determinants, and each cataloged
+    # formula once.  interp's determinant is read off its own characteristic
+    # polynomial, the closed-* routes are cataloged formulas, and Vieta's
+    # C(N) is the closed-form determinant, so none of them runs again.
     from gadet import cli
 
-    calls = {"det": 0, "charpoly": 0}
-    spec = cli.METHODS["interp"]
+    calls = Counter()
 
-    def det(u):
-        calls["det"] += 1
-        return spec.det(u)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def charpoly(u):
-        calls["charpoly"] += 1
-        return spec.charpoly(u)
-
-    monkeypatch.setitem(cli.METHODS, "interp", cli.Method(det, charpoly))
-    code, _, _ = run(capsys, "check", "--sig", "3,0", "--trials", "3")
+    for name, spec in list(cli.METHODS.items()):
+        monkeypatch.setitem(cli.METHODS, name, cli.Method(
+            spec.det and counted(f"det {name}", spec.det),
+            spec.charpoly and counted(f"charpoly {name}", spec.charpoly)))
+    substitute(monkeypatch, (gadet.evaluate_det, gadet.vieta_all, gadet.vieta_coefficient),
+               lambda fn: counted(fn.__name__, fn))
+    code, _, _ = run(capsys, "check", "--sig", "2,0", "--trials", "3")
     assert code == 0
-    # interp's determinant is read off its own characteristic polynomial.
-    assert calls == {"det": 0, "charpoly": 3}
+    per_trial = {name: count / 3 for name, count in calls.items()}
+    assert per_trial == {
+        "det fl": 1, "det matrix": 1,
+        **{f"charpoly {m}": 1 for m in ("fl", "vieta-triangle", "vieta-bar",
+                                         "matrix", "interp")},
+        "evaluate_det": len(gadet.available_formulas(2)),
+        "vieta_all": 2,
+    }
 
 
 def test_formulas_command(capsys):

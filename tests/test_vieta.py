@@ -138,6 +138,9 @@ def test_vieta_rejects_bad_k_and_dimension():
         vieta_coefficient(f, u, 0)
     with pytest.raises(ValueError):
         vieta_coefficient(f, u, 3)
+    for k in (1.5, True, 2.0):  # k is an int, never a float or a bool
+        with pytest.raises(ValueError):
+            vieta_coefficient(f, u, k)
     with pytest.raises(ValueError):
         vieta_all(f, Signature(3, 0).identity)
 
