@@ -194,6 +194,19 @@ _DET_METHODS = tuple(m for m, spec in METHODS.items() if spec.det)
 _CHARPOLY_METHODS = tuple(m for m, spec in METHODS.items() if spec.charpoly)
 
 
+def _dets(u: Multivector, interp: CharPoly) -> dict[str, Scalar]:
+    """Every determinant of u that ``det --method all`` and ``check`` compare,
+    in output order: fl, matrix, interp (-CN of ``interp``, its own
+    characteristic polynomial) and each cataloged formula at u's n as
+    ``closed:<family>/<variant>``.  closed-triangle and closed-bar are
+    cataloged formulas, so each formula is evaluated once."""
+    dets = {m: interp.det if m == "interp" else METHODS[m].det(u)
+            for m in _DET_METHODS if not m.startswith("closed-")}
+    dets.update((f"closed:{f.family}/{f.variant}", evaluate_det(f, u))
+                for f in available_formulas(u.sig.n))
+    return dets
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -202,7 +215,7 @@ def _cmd_det(args) -> int:
     payload = {"signature": [args.sig.p, args.sig.q], "input": args.expression,
                "method": args.method}
     if args.method == "all":
-        dets = {m: METHODS[m].det(u) for m in _DET_METHODS}
+        dets = _dets(u, METHODS["interp"].charpoly(u))
         consistent = _values_agree(list(dets.values()))
         payload["det"] = _json_value(dets["fl"])
         payload["dets"] = {m: _json_value(v) for m, v in dets.items()}
@@ -296,17 +309,21 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)
     float_backend = args.backend == "float"
     failures = []
-    # closed-triangle and closed-bar are cataloged formulas: each formula is
-    # evaluated once, under its catalog name.
-    formulas = {f"closed:{f.family}/{f.variant}": f for f in available_formulas(sig.n)}
-    det_methods = [m for m in _DET_METHODS if not m.startswith("closed-")]
+    det_methods = []
     for trial in range(args.trials):
         u = random_multivector(sig, rng, float_backend=float_backend)
-        cps = {m: METHODS[m].charpoly(u) for m in _CHARPOLY_METHODS}
-        # interp's det is -CN of its own charpoly: run it once.
-        dets = {m: cps[m].det if m == "interp" else METHODS[m].det(u)
-                for m in det_methods}
-        dets.update((name, evaluate_det(f, u)) for name, f in formulas.items())
+        # A route that raises is recorded under the command whose --method
+        # all runs it again: charpoly for the charpoly routes, else det.
+        kind = "charpoly"
+        try:
+            cps = {m: METHODS[m].charpoly(u) for m in _CHARPOLY_METHODS}
+            kind = "det"
+            dets = _dets(u, cps["interp"])
+        except ConsistencyError as exc:
+            failures.append({"trial": trial, "kind": kind, "input": str(u),
+                             "error": str(exc)})
+            continue
+        det_methods = list(dets)
         if not _values_agree(list(dets.values())):
             failures.append({"trial": trial, "kind": "det", "input": str(u),
                              "values": {m: _json_value(v) for m, v in dets.items()}})
@@ -318,7 +335,7 @@ def _cmd_check(args) -> int:
     payload = {
         "signature": [sig.p, sig.q], "method": "check",
         "trials": args.trials, "seed": args.seed,
-        "methods": det_methods + list(formulas) + list(_CHARPOLY_METHODS),
+        "methods": det_methods + list(_CHARPOLY_METHODS),
         "consistent": consistent, "failures": failures,
     }
     _emit(args, payload, [

@@ -408,10 +408,18 @@ def _node_to_json(node: Node) -> dict:
     return {"op": "product", "factors": [_node_to_json(f) for f in node.factors]}
 
 
+def _typed(key: str, value, kind: type):
+    """value, which must have exactly the JSON type ``kind``: a bool is not
+    an int, and neither a float nor a string is coerced."""
+    if type(value) is not kind:
+        raise ValueError(f"formula JSON {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _node_from_json(data: dict) -> Node:
     op = data["op"]
     if op == "slot":
-        return Slot(int(data["index"]))
+        return Slot(_typed("index", data["index"], int))
     if op == "conjugation":
         conj = Conjugation(data["kind"], data.get("j"))
         return Conj(conj, _node_from_json(data["child"]))
@@ -439,10 +447,11 @@ def formula_from_json(data: dict) -> DetFormula:
     denominator or an unknown conjugation, raises ValueError."""
     try:
         terms = tuple(
-            FormulaTerm(Fraction(t["weight"]), _node_from_json(t["tree"]))
+            FormulaTerm(Fraction(_typed("weight", t["weight"], str)), _node_from_json(t["tree"]))
             for t in data["terms"]
         )
-        return DetFormula(int(data["n"]), data["family"], data.get("variant", "standard"), terms)
+        return DetFormula(_typed("n", data["n"], int), _typed("family", data["family"], str),
+                          _typed("variant", data.get("variant", "standard"), str), terms)
     except KeyError as exc:
         raise ValueError(f"formula JSON lacks the key {exc}") from None
     except (TypeError, ZeroDivisionError) as exc:

@@ -5,8 +5,8 @@ supported signatures (1 <= p + q <= 6).  Exact-backend assertions are literal
 equality of rationals; float tolerances are written next to their checks.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete (the whole suite takes a few minutes; criterion 3 is
-the long pole).
+lines as they complete (the whole suite takes about 17 s on a 2-vCPU
+machine; criterion 1 is the slowest, then criterion 3).
 """
 
 from __future__ import annotations

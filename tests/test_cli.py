@@ -151,8 +151,25 @@ def test_det_all_methods_json(capsys):
     assert payload["det"] == 25
     assert payload["consistent"] is True
     assert list(payload["dets"]) == [
-        "fl", "closed-triangle", "closed-bar", "matrix", "interp",
+        "fl", "matrix", "interp", "closed:bar/standard", "closed:triangle/standard",
     ]
+
+
+def test_det_all_runs_the_determinants_check_compares(capsys):
+    # det --method all is check's reproducer, so it runs the same list.
+    from gadet import cli
+
+    for sig in ("1,0", "2,0", "3,0", "4,0", "5,0", "6,0"):
+        code, out, _ = run(capsys, "det", "--sig", sig, "--method", "all",
+                           "--format", "json", "3 + e1")
+        assert code == 0
+        dets = list(json.loads(out)["dets"])
+        code, out, _ = run(capsys, "check", "--sig", sig, "--trials", "1",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["methods"] == dets + list(cli._CHARPOLY_METHODS)
+        n = Signature(*map(int, sig.split(","))).n
+        assert len(dets) == 3 + len(gadet.available_formulas(n))
 
 
 def test_charpoly_example(capsys):
@@ -235,33 +252,63 @@ def test_check_command_json_float(capsys):
 
 
 def test_check_failures_carry_a_reproducer(capsys, monkeypatch):
-    from gadet import CharPoly, cli
+    from gadet import CharPoly, ConsistencyError, FloatRangeError, cli
     from gadet.matrix_rep import charpoly_matrix, det_matrix
 
     def shifted(u):  # the matrix charpoly with C1 off by one
         cp = charpoly_matrix(u)
         return CharPoly(cp.sig, (cp.coeffs[0] + 1,) + cp.coeffs[1:])
 
-    s = Signature(2, 0)
-    rng = random.Random(0)  # check's default seed
-    inputs = [random_multivector(s, rng) for _ in range(3)]
-    for kind, broken in (("det", cli.Method(lambda u: det_matrix(u) + 1, charpoly_matrix)),
-                         ("charpoly", cli.Method(det_matrix, shifted))):
-        monkeypatch.setitem(cli.METHODS, "matrix", broken)
-        code, out, _ = run(capsys, "check", "--sig", "2,0", "--trials", "3",
-                           "--format", "json")
-        assert code == 5
-        failures = json.loads(out)["failures"]
-        assert [f["trial"] for f in failures] == [0, 1, 2]
-        assert {f["kind"] for f in failures} == {kind}
-        for failure in failures:
-            if kind == "charpoly":
-                assert failure["method"] == "matrix"
-            u = parse_multivector(failure["input"], s)
-            assert u.coeffs == inputs[failure["trial"]].coeffs
-            code, _, _ = run(capsys, kind, "--sig", "2,0", "--method", "all",
-                             "--", failure["input"])
+    def raises(error):
+        def route(u):
+            raise error("route failed its own check")
+        return route
+
+    def matrix(method):
+        return lambda m: m.setitem(cli.METHODS, "matrix", method)
+
+    def wrong_bar(m):  # every bar-family formula off by one, nothing else
+        substitute(m, (gadet.evaluate_det,), lambda fn: lambda f, u: (
+            fn(f, u) + (1 if f.family == "bar" else 0)))
+
+    # (signature, patch, the kind of every failure, whether it is an error)
+    cases = [
+        ("2,0", matrix(cli.Method(lambda u: det_matrix(u) + 1, charpoly_matrix)), "det", False),
+        ("2,0", matrix(cli.Method(det_matrix, shifted)), "charpoly", False),
+        ("3,0", wrong_bar, "det", False),
+        ("2,0", matrix(cli.Method(raises(ConsistencyError), charpoly_matrix)), "det", True),
+        ("2,0", matrix(cli.Method(det_matrix, raises(ConsistencyError))), "charpoly", True),
+    ]
+    for sig, patch, kind, error in cases:
+        s = Signature(*map(int, sig.split(",")))
+        rng = random.Random(0)  # check's default seed
+        inputs = [random_multivector(s, rng) for _ in range(3)]
+        with monkeypatch.context() as m:
+            patch(m)
+            code, out, _ = run(capsys, "check", "--sig", sig, "--trials", "3",
+                               "--format", "json")
             assert code == 5
+            failures = json.loads(out)["failures"]
+            assert [f["trial"] for f in failures] == [0, 1, 2]
+            assert {f["kind"] for f in failures} == {kind}
+            for failure in failures:
+                assert ("error" in failure) == error
+                if error:
+                    assert failure["error"] == "route failed its own check"
+                elif kind == "charpoly":
+                    assert failure["method"] == "matrix"
+                u = parse_multivector(failure["input"], s)
+                assert u.coeffs == inputs[failure["trial"]].coeffs
+                code, _, _ = run(capsys, kind, "--sig", sig, "--method", "all",
+                                 "--", failure["input"])
+                assert code == 5
+    # Only a ConsistencyError is recorded; any other error still ends check.
+    monkeypatch.setitem(cli.METHODS, "matrix",
+                        cli.Method(raises(FloatRangeError), charpoly_matrix))
+    code, out, err = run(capsys, "check", "--sig", "2,0", "--trials", "3",
+                         "--format", "json")
+    assert (code, out) == (1, "")
+    assert "route failed its own check" in err
 
 
 def test_bench_command(capsys):

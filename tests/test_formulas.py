@@ -227,6 +227,9 @@ def test_formula_json_rejects_malformed_input():
     def first_term(**fields):
         return lambda data: data["terms"][0].update(fields)
 
+    def first_slot(index):
+        return lambda data: data["terms"][0]["tree"]["factors"][0].update(index=index)
+
     # A well-formed 32-slot formula, but for n = 9, which no signature has.
     slots = [{"op": "slot", "index": i} for i in range(1, 33)]
     n9 = {"n": 9, "family": "triangle",
@@ -241,6 +244,17 @@ def test_formula_json_rejects_malformed_input():
         edited(2, lambda data: data.update(terms={"weight": "1"})),
         edited(2, lambda data: data.update(terms=5)),
         n9,
+        # Values of the wrong JSON type, which int() or Fraction() would
+        # otherwise coerce to a valid formula.
+        edited(3, lambda data: data.update(n=3.7)),
+        edited(3, lambda data: data.update(n="3")),
+        edited(1, lambda data: data.update(n=True)),
+        edited(3, first_slot(1.9)),
+        edited(3, first_slot(True)),
+        edited(2, lambda data: data.update(family=7)),
+        edited(2, lambda data: data.update(variant=5)),
+        edited(2, first_term(weight=1.0)),
+        edited(2, first_term(weight=1)),
     ]
     for data in bad_inputs:
         with pytest.raises(ValueError):
