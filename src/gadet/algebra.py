@@ -30,11 +30,14 @@ at once, as the trace recursion in ``charpoly`` does.
 One kernel, ``_product``, multiplies stacks: (d+1, 2**n) arrays, the
 multivector coefficients of a polynomial in a commuting scalar t (d = 0 for
 a plain multivector).  ``Multivector`` products, the term-tree evaluator in
-``formulas`` and the Vieta polynomials in ``vieta`` all run on it.  Floats
-contract in float64 and raise FloatRangeError where a value leaves the
-double range.  Exact values are scaled to integers once, U = V/D
-(``_slots``), contracted, then divided back once (``_to_multivector``).  An
-integer contraction of a left stack L by a right stack R runs in int64 when
+``formulas`` and the Vieta polynomials in ``vieta`` all run on it, and the
+trace recursion in ``charpoly`` runs on the same slots (stack, top).
+Floats contract in float64.  One check, ``_in_double_range``, raises
+FloatRangeError where a float product, divide-back, sum of formula terms
+or recursion step leaves the double range.  Exact values are scaled to
+integers once, U = V/D (``_slots``), contracted, then divided back once
+(``_to_multivector``).  An integer contraction of a left stack L by a right
+stack R runs in int64 when
 
     max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
 
@@ -367,12 +370,7 @@ def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
     lands in degree i + j, the left factor staying on the left."""
     (a, a_top), (b, b_top) = left, right
     if a_top is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _contract(sig, a, b)
-        if not np.isfinite(out).all():
-            raise FloatRangeError("a float geometric product is outside the "
-                                  "double range (inf or nan)")
-        return out, None
+        return _in_double_range("a float geometric product", _contract, sig, a, b), None
     # The int64 bound of the module docstring.  The tops may be loose:
     # tighten them before leaving int64.
     pairs = min(len(a), len(b)) << sig.n
@@ -381,6 +379,17 @@ def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
         bound = _max_abs(a) * _max_abs(b) * pairs
     dtype = _int_dtype(bound)
     return _contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False)), bound
+
+
+def _in_double_range(what: str, compute, *args) -> np.ndarray:
+    """compute(*args), a float64 array, with numpy's overflow warnings off:
+    the one range check of the float stack kernels.  An inf or nan in the
+    result raises FloatRangeError naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute(*args)
+    if not np.isfinite(out).all():
+        raise FloatRangeError(f"{what} is outside the double range (inf or nan)")
+    return out
 
 
 def _contract(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,11 +408,7 @@ def _to_multivector(sig: Signature, row: np.ndarray, scale) -> "Multivector":
     """The multivector row / scale; a float result is range-checked here,
     once."""
     if row.dtype == np.float64:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = row / scale
-        if not np.isfinite(row).all():
-            raise FloatRangeError("a float coefficient is outside the double "
-                                  "range (inf, nan or too large)")
+        row = _in_double_range("a float coefficient", np.divide, row, scale)
         return Multivector._raw(sig, tuple(row.tolist()), True)
     coeffs = row.tolist()
     if scale != 1:

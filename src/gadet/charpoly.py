@@ -16,10 +16,11 @@ U * (Uk - Ck), and the right factor U stays fixed: its gather through the
 product table is built once per run.  It is the reference method for all n;
 it also yields the adjugate as C(N-1)*e - U(N-1).
 
-The recursion runs on a stack of rows at once (one row for ``det_fl`` and
-friends, N + 1 samples for ``charpoly_interp``), and never on fractions.  An
-exact input is scaled once, U = V/D with D = ``common_denominator(U)`` and V
-an integer vector.  Ck and Uk are homogeneous of degree k in U, so
+The recursion runs on a slot (stack, top) of ``algebra``: a stack of rows
+at once (one row for ``det_fl`` and friends, N + 1 samples for
+``charpoly_interp``), never fractions.  An exact input is scaled once,
+U = V/D with D = ``common_denominator(U)`` and V an integer vector.  Ck and
+Uk are homogeneous of degree k in U, so
 
     Ck(U) = Ck(V) / D**k,    Adj(U) = (C(N-1)(V)*e - V(N-1)) / D**(N-1),
 
@@ -30,7 +31,8 @@ step stays in ints; a Ck that is not an integer is an error
 (ConsistencyError), never a silent fall back to fractions.  Each step runs
 in int64 under the product's bound from the ``algebra`` docstring,
 max|Uk - Ck| * max|V| * 2**n < 2**63, and in object dtype otherwise.
-Float rows run the same loop in float64.
+Float rows run the same loop in float64, each step range-checked by
+``algebra``'s one float check.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (Multivector, Scalar, Signature, _int_dtype, _integer_row,
-                      _normalize_exact, _to_multivector, close, exact_ratio)
+from .algebra import (Multivector, Scalar, Signature, _in_double_range, _int_dtype,
+                      _integer_row, _max_abs, _normalize_exact, _slots, _to_multivector,
+                      close, exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
 
@@ -104,63 +107,56 @@ class CharPoly:
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
-def _fl_stack(sig: Signature, rows: list, is_float: bool):
-    """The recursion on a stack of B rows, each the coefficients of one
-    multivector V: float rows in float64, integer rows in int64 or object.
-    Returns ([C1 of each row, ..., CN of each row], W) with W the (B, 2**n)
-    array of V(N-1) - C(N-1)*e, the negated adjugate."""
+def _fl_stack(sig: Signature, slot: tuple):
+    """The recursion on a slot (stack, top) of ``algebra._slots``: B rows,
+    each the coefficients of one multivector V, in float64 when top is
+    None, else integers with top >= max|V|.  Returns ([C1 of each row, ...,
+    CN of each row], W) with W the (B, 2**n) array of V(N-1) - C(N-1)*e,
+    the negated adjugate."""
+    v, top = slot
     N = sig.N
-    if is_float:
-        v = np.array(rows, np.float64)
-    else:
-        v_max = max(1, max(max(map(abs, row)) for row in rows))
-        v = np.array(rows, _int_dtype(v_max))
-    vs = {v.dtype: v}  # V in each dtype the loop has used
-    right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
     coeffs = []
+    right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
+    penult = None
+
+    def step(w, k):
+        # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
+        nonlocal penult
+        if top is None:
+            ck = (N / k) * w[:, 0]
+            col, dtype = w[:, 0] - ck, w.dtype
+            ck = ck.tolist()
+        else:
+            sp = w[:, 0].tolist()
+            ck = []
+            for s in sp:
+                c, rem = divmod(N * s, k)
+                if rem:
+                    raise ConsistencyError(
+                        f"C{k} = {N * s}/{k} of an integer row is not an integer")
+                ck.append(c)
+            col = [s - c for s, c in zip(sp, ck)]
+            # The int64 bound of the algebra module docstring, for the
+            # product or the dot product below.
+            dtype = _int_dtype(max(1, _max_abs(w), *map(abs, col)) * top << sig.n)
+        coeffs.append(ck)
+        w = w.astype(dtype)
+        w[:, 0] = col
+        vk = v.astype(dtype, copy=False)
+        if k == N - 1:
+            # CN needs only <UN>_0, a dot product over the blades.
+            penult = w
+            return (w * vk) @ sig._square_signs
+        # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
+        if dtype not in right:
+            right[dtype] = sig._right_factors(vk)
+        return (w[:, None, :] @ right[dtype])[:, 0, :]
+
     w = v
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, N + 1):
-            if is_float:
-                ck = (N / k) * w[:, 0]
-                coeffs.append(ck.tolist())
-                if k == N:
-                    break
-                w = w.copy()
-                w[:, 0] -= ck
-            else:
-                sp = w[:, 0].tolist()
-                ck = []
-                for s in sp:
-                    c, rem = divmod(N * s, k)
-                    if rem:
-                        raise ConsistencyError(
-                            f"C{k} = {N * s}/{k} of an integer row is not an integer")
-                    ck.append(c)
-                coeffs.append(ck)
-                if k == N:
-                    break
-                col = [s - c for s, c in zip(sp, ck)]
-                w_max = max(1, int(np.abs(w).max()), *map(abs, col))
-                # The int64 bound of the algebra module docstring, for the
-                # product or the dot product below.
-                w = w.astype(_int_dtype(w_max * v_max << sig.n))
-                w[:, 0] = col
-            dtype = w.dtype
-            if dtype not in vs:
-                vs[dtype] = v.astype(dtype)
-            if k == N - 1:
-                # CN needs only <UN>_0, a dot product over the blades.
-                penult = w
-                w = (w * vs[dtype]) @ sig._square_signs
-            else:
-                # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
-                if dtype not in right:
-                    right[dtype] = sig._right_factors(vs[dtype])
-                w = (w[:, None, :] @ right[dtype])[:, 0, :]
-            if is_float and not np.isfinite(w).all():
-                raise FloatRangeError("a float geometric product is outside the "
-                                      "double range (inf or nan)")
+    for k in range(1, N):
+        w = step(w, k) if top is not None else _in_double_range(
+            "a float step of the trace recursion", step, w, k)
+    coeffs.append(w[:, 0].tolist())  # CN = (N/N) * <UN>_0
     return coeffs, penult
 
 
@@ -168,8 +164,8 @@ def _fl_run(u: Multivector):
     """The recursion on one multivector u = V / D: (C1(V), ..., CN(V)),
     the row W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64
     with D = 1."""
-    row, d = (u.coeffs, 1) if u.is_float else _integer_row(u)
-    coeffs, w = _fl_stack(u.sig, [row], u.is_float)
+    (slot,), (d,) = _slots((u,))
+    coeffs, w = _fl_stack(u.sig, slot)
     return [c[0] for c in coeffs], w[0], d
 
 
@@ -228,7 +224,8 @@ def _newton_interpolate(nodes: Sequence, values: Sequence):
 
 def _sample_dets(sig: Signature, rows) -> list:
     """Det of each integer row, from one run of the recursion on the stack."""
-    coeffs, _ = _fl_stack(sig, rows, False)
+    top = max(abs(c) for row in rows for c in row)
+    coeffs, _ = _fl_stack(sig, (np.array(rows, _int_dtype(top)), top))
     return [-c for c in coeffs[-1]]
 
 

@@ -341,6 +341,8 @@ def _cmd_check(args) -> int:
     _emit(args, payload, [
         f"trials: {args.trials}",
         f"all methods agree: {str(consistent).lower()}",
+        *(f"trial {f['trial']} ({f['kind']}): gadet {f['kind']} --sig {sig.p},{sig.q} "
+          f"--backend {args.backend} --method all -- \"{f['input']}\"" for f in failures),
     ])
     return 0 if consistent else 5
 
@@ -492,6 +494,11 @@ _EXIT_CODES = ((ParseError, 2), (NotInvertibleError, 3), (NotGenericError, 4),
 
 
 def main(argv=None) -> int:
+    # Exact values can run past Python's default cap of 4300 digits on
+    # int-to-string conversion, in both directions; the command line reads
+    # and prints them whole.  Releases before 3.10.7 have no cap.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)

@@ -56,6 +56,7 @@ from .algebra import (
     Scalar,
     _MAX_N,
     _MIN_N,
+    _in_double_range,
     _int_dtype,
     _max_abs,
     _normalize_exact,
@@ -67,7 +68,7 @@ from .algebra import (
     delta,
     exact_ratio,
 )
-from .errors import ConsistencyError, FloatRangeError
+from .errors import ConsistencyError
 
 FAMILIES = ("triangle", "bar", "bar_tilde", "bar_tilde_hat")
 
@@ -287,11 +288,8 @@ def available_formulas(n: int) -> tuple[DetFormula, ...]:
 
 def default_bar_family(n: int) -> str:
     """The bar-operation family with the fewest terms available at this n."""
-    if n <= 2:
-        return "bar"
-    if n == 5:
-        return "bar_tilde_hat"
-    return "bar_tilde"
+    return min((f for f in available_formulas(n) if f.family != "triangle"),
+               key=lambda f: len(f.terms)).family
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +315,9 @@ def evaluate_terms(sig, terms: Sequence[FormulaTerm], slots: Sequence[tuple]):
     None for a float stack."""
     den = common_denominator(term.weight for term in terms)
     if slots[0][1] is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = sum(int(term.weight * den) * _eval_node(sig, term.tree, slots)[0]
-                        for term in terms)
-            if not np.isfinite(total).all():
-                raise FloatRangeError("a float sum of formula terms is outside the "
-                                      "double range (inf or nan)")
-        return total, den
+        return _in_double_range("a float sum of formula terms", lambda: sum(
+            int(term.weight * den) * _eval_node(sig, term.tree, slots)[0]
+            for term in terms)), den
     weighted = [(int(term.weight * den), _eval_node(sig, term.tree, slots))
                 for term in terms]
     if len(weighted) == 1 and weighted[0][0] == 1:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .algebra import (EIGEN_COMPARE_TOL, Multivector, Scalar, _plus_constant, _slots,
                       _to_multivector)
-from .charpoly import CharPoly, det_fl, fl_coefficients, inverse
-from .errors import NotGenericError
+from .charpoly import CharPoly, fl_coefficients, inverse
+from .errors import NotGenericError, NotInvertibleError
 from .formulas import (
     DetFormula,
     FormulaTerm,
@@ -131,11 +131,12 @@ def gelfand_retakh_ys(u: Multivector) -> GelfandRetakhSet:
         vk = e
         for aj in coefficients_from_roots(ys):
             vk = vk * xk - aj
-        det = det_fl(vk)
-        if det == 0:
-            raise NotGenericError(k, det)
+        try:
+            vk_inverse = inverse(vk)
+        except NotInvertibleError as exc:
+            raise NotGenericError(k, exc.det) from None
         vs.append(vk)
-        ys.append(vk * xk * inverse(vk))
+        ys.append(vk * xk * vk_inverse)
     return GelfandRetakhSet(xs, tuple(vs), tuple(ys))
 
 

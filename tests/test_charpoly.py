@@ -187,6 +187,13 @@ def test_charpoly_interp_float_range():
     for method in (charpoly_interp, det_fl, det_matrix, charpoly_matrix):
         with pytest.raises(FloatRangeError, match="float.*range"):
             method(u)
+    # Coefficients of 1e160 leave the double range in the recursion's first
+    # matrix product, not in its last step, a dot product.
+    for sig in (Signature(3, 0), Signature(6, 0)):
+        u = Multivector(sig, [1e160] * sig.dim)
+        for method in (det_fl, fl_coefficients, adjugate, inverse):
+            with pytest.raises(FloatRangeError, match="float.*range"):
+                method(u)
     with pytest.raises(FloatRangeError, match="float.*range"):
         eigen_compare(Multivector.scalar(Signature(1, 0), 10**400))
     with pytest.raises(FloatRangeError, match="float.*range"):

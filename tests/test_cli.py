@@ -289,6 +289,12 @@ def test_check_failures_carry_a_reproducer(capsys, monkeypatch):
                                "--format", "json")
             assert code == 5
             failures = json.loads(out)["failures"]
+            # Text mode names each failure by its reproducer.
+            code, out, _ = run(capsys, "check", "--sig", sig, "--trials", "3")
+            assert code == 5
+            assert out.splitlines() == ["trials: 3", "all methods agree: false"] + [
+                f"trial {f['trial']} ({kind}): gadet {kind} --sig {sig} --backend rational "
+                f"--method all -- \"{f['input']}\"" for f in failures]
             assert [f["trial"] for f in failures] == [0, 1, 2]
             assert {f["kind"] for f in failures} == {kind}
             for failure in failures:
@@ -428,6 +434,31 @@ def test_closed_stdout_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# Python caps int-to-string conversion at 4300 digits by default; the
+# command line reads and prints exact values of any length.
+
+
+def test_exact_result_beyond_4300_digits(capsys):
+    code, out, _ = run(capsys, "det", "--sig", "1,0", "1e+2200")
+    assert (code, out) == (0, "1" + "0" * 4400 + "\n")
+
+
+def test_exact_coefficients_beyond_4300_digits(capsys):
+    # a + e1 in G(6,0): C1 = 8a and Det = (a**2 - 1)**4.
+    code, out, _ = run(capsys, "charpoly", "--sig", "6,0", "1e+600 + e1")
+    c, det = out.splitlines()
+    assert code == 0
+    assert c.startswith("C = [8" + "0" * 600 + ", ")
+    assert det.startswith("det: 9999") and len(det) == len("det: ") + 4800
+
+
+def test_exact_input_beyond_4300_digits(capsys):
+    # The square of a 5000-digit repunit has 9999 digits.
+    code, out, _ = run(capsys, "det", "--sig", "1,0", "1" * 5000)
+    assert code == 0
+    assert out.startswith("123456790") and len(out) == 9999 + 1
 
 
 def test_float_backend_det(capsys):

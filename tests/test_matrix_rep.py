@@ -183,10 +183,12 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
     # The product table's gather, the integer scaling, the stack product
-    # kernel, fl's stack kernel, and the term-tree evaluator.
+    # kernel, the float range check, fl's stack kernel, and the term-tree
+    # evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
     forbid(monkeypatch, (algebra._integer_row, algebra._slots, algebra._product,
-                         charpoly._fl_stack, formulas.evaluate_terms),
+                         algebra._in_double_range, charpoly._fl_stack,
+                         formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})

@@ -16,6 +16,7 @@ from gadet import (
     SignatureMismatchError,
     coefficients_from_roots,
     default_bar_family,
+    det_fl,
     eigen_compare,
     eigenvalues,
     f_function,
@@ -25,7 +26,7 @@ from gadet import (
     vieta_all,
     vieta_coefficient,
 )
-from helpers import (SIGNATURES, elementary_descending, random_mvs, same_typed,
+from helpers import (SIGNATURES, elementary_descending, forbid, random_mvs, same_typed,
                      subset_masks, vieta_by_masks)
 
 
@@ -221,6 +222,24 @@ def test_gr_n3_not_generic():
     with pytest.raises(NotGenericError) as err:
         gelfand_retakh_ys(u)
     assert err.value.k == 2
+
+
+def test_gr_runs_the_recursion_once_per_k(monkeypatch):
+    # inverse(v_k) raises NotInvertibleError with the determinant, so no
+    # separate det_fl(v_k) is needed to tell a non-generic set.
+    forbid(monkeypatch, (det_fl,), "gelfand_retakh_ys must not call det_fl")
+    u = Multivector.from_terms(Signature(2, 0), {0: 5, 2: Fraction(1, 2), 3: Fraction(1, 2)})
+    assert gelfand_retakh_ys(u).ys == (u, u.reversion().grade_involution())
+    for u in (Multivector(Signature(1, 0), (3, 4)), *random_mvs(Signature(3, 0), 2, 58),
+              *random_mvs(Signature(1, 2), 2, 58)):
+        roots = gelfand_retakh_ys(u)
+        assert roots.ys == roots.xs
+    for u in (Multivector(Signature(1, 0), (5, 0)),
+              Multivector.from_terms(Signature(1, 1), {0: 2, 1: 3}),
+              Multivector.from_terms(Signature(3, 0), {0: 1, 7: 5})):
+        with pytest.raises(NotGenericError) as err:
+            gelfand_retakh_ys(u)
+        assert (err.value.k, err.value.det) == (2, 0)
 
 
 def test_gr_rejects_large_n():
