@@ -29,15 +29,16 @@ at once, as the trace recursion in ``charpoly`` does.
 
 One kernel, ``_product``, multiplies stacks: (d+1, 2**n) arrays, the
 multivector coefficients of a polynomial in a commuting scalar t (d = 0 for
-a plain multivector).  ``Multivector`` products, the term-tree evaluator in
-``formulas`` and the Vieta polynomials in ``vieta`` all run on it, and the
-trace recursion in ``charpoly`` runs on the same slots (stack, top).
-Floats contract in float64.  One check, ``_in_double_range``, raises
-FloatRangeError where a float product, divide-back, sum of formula terms
-or recursion step leaves the double range.  Exact values are scaled to
-integers once, U = V/D (``_slots``), contracted, then divided back once
-(``_to_multivector``).  An integer contraction of a left stack L by a right
-stack R runs in int64 when
+a plain multivector), in slots (stack, top, scale) whose value is
+stack / scale, with top >= max|stack| (None for a float64 stack, scale 1).
+``Multivector`` products, the term-tree evaluator in ``formulas`` and the
+Vieta polynomials in ``vieta`` all run on it, and the trace recursion in
+``charpoly`` runs on the same slots.  One check, ``_in_double_range``,
+raises FloatRangeError where a float product, divide-back, sum of formula
+terms or recursion step leaves the double range.  Exact values are scaled
+to integers once, U = V/D (``_slots``: scale D), contracted with their
+scales multiplied, then divided back once (``_to_multivector``).  An
+integer contraction of a left stack L by a right stack R runs in int64 when
 
     max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
 
@@ -332,45 +333,44 @@ def _max_abs(stack: np.ndarray) -> int:
     return int(abs(stack).max())
 
 
-def _slots(values: Sequence["Multivector"]) -> tuple[list[tuple], list[int]]:
-    """Each value as a slot (stack, top) with value = V / D, and the Ds: the
-    stack is the (1, dim) array [V] and top = max|V|.  When any value is
-    float, every stack is float64 with top None and D = 1; otherwise V holds
-    integers, in int64 when they fit."""
+def _slots(values: Sequence["Multivector"]) -> list[tuple]:
+    """Each value V / D as a slot (stack, top, scale) = ([V], max|V|, D), so
+    value = stack / scale with the stack a (1, dim) array.  When any value is
+    float, every stack is float64 with top None and scale 1; otherwise V
+    holds integers, in int64 when they fit."""
     sig = values[0].sig
     if any(v.sig is not sig for v in values):
         raise SignatureMismatchError("slot values from different algebras")
     if any(v.is_float for v in values):
-        return ([(np.array([v.to_float().coeffs], np.float64), None) for v in values],
-                [1] * len(values))
-    slots, dens = [], []
+        return [(np.array([v.to_float().coeffs], np.float64), None, 1) for v in values]
+    slots = []
     for v in values:
         row, d = _integer_row(v)
         top = max(map(abs, row))
-        slots.append((np.array([row], _int_dtype(top)), top))
-        dens.append(d)
-    return slots, dens
+        slots.append((np.array([row], _int_dtype(top)), top, d))
+    return slots
 
 
-def _plus_constant(slot, c: int):
-    """The degree-1 slot c*e + t*V from the slot V."""
-    v, top = slot
+def _plus_constant(slot):
+    """The degree-1 slot e + t*(V/D) from the slot V/D: [D*e, V] over D."""
+    v, top, d = slot
     if top is not None:
-        top = max(top, c)
+        top = max(top, d)
         v = v.astype(_int_dtype(top), copy=False)
     e = np.zeros_like(v)
-    e[0, 0] = c
-    return np.concatenate((e, v)), top
+    e[0, 0] = d
+    return np.concatenate((e, v)), top, d
 
 
 def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
-    """The product of two slots (stack, top), with top an upper bound on
-    max|stack|, None for a float stack: returns the product's slot.  t
-    commutes, so coefficient i of the left times coefficient j of the right
+    """The slot of the product of two slots (stack, top, scale), scales
+    multiplied; top is an upper bound on max|stack|, None for a float stack.
+    t commutes, so coefficient i of the left times coefficient j of the right
     lands in degree i + j, the left factor staying on the left."""
-    (a, a_top), (b, b_top) = left, right
+    (a, a_top, a_scale), (b, b_top, b_scale) = left, right
+    scale = a_scale * b_scale
     if a_top is None:
-        return _in_double_range("a float geometric product", _contract, sig, a, b), None
+        return _in_double_range("a float geometric product", _contract, sig, a, b), None, scale
     # The int64 bound of the module docstring.  The tops may be loose:
     # tighten them before leaving int64.
     pairs = min(len(a), len(b)) << sig.n
@@ -378,7 +378,8 @@ def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
     if bound >= 1 << 63:
         bound = _max_abs(a) * _max_abs(b) * pairs
     dtype = _int_dtype(bound)
-    return _contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False)), bound
+    return (_contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False)),
+            bound, scale)
 
 
 def _in_double_range(what: str, compute, *args) -> np.ndarray:
@@ -418,8 +419,7 @@ def _to_multivector(sig: Signature, row: np.ndarray, scale) -> "Multivector":
 
 def exact_ratio(num, den):
     """num / den as an exact scalar: an int when it is whole, else a Fraction."""
-    f = Fraction(num, den)
-    return f.numerator if f.denominator == 1 else f
+    return _normalize_exact(Fraction(num, den))
 
 
 def close(x: Scalar, y: Scalar) -> bool:
@@ -662,10 +662,8 @@ class Multivector:
             return other._scale(a[0])
         if not any(b[1:]):
             return self._scale(b[0])
-        # u * v = (V / Du) * (W / Dv) = V * W / (Du * Dv).
-        (v, w), (du, dv) = _slots((self, other))
-        row, _ = _product(self.sig, v, w)
-        return _to_multivector(self.sig, row[0], du * dv)
+        row, _, scale = _product(self.sig, *_slots((self, other)))
+        return _to_multivector(self.sig, row[0], scale)
 
     # -- comparison --------------------------------------------------------
 

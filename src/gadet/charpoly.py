@@ -16,15 +16,16 @@ U * (Uk - Ck), and the right factor U stays fixed: its gather through the
 product table is built once per run.  It is the reference method for all n;
 it also yields the adjugate as C(N-1)*e - U(N-1).
 
-The recursion runs on a slot (stack, top) of ``algebra``: a stack of rows
-at once (one row for ``det_fl`` and friends, N + 1 samples for
+The recursion runs on a slot (stack, top, scale) of ``algebra``: a stack
+of rows at once (one row for ``det_fl`` and friends, N + 1 samples for
 ``charpoly_interp``), never fractions.  An exact input is scaled once,
-U = V/D with D = ``common_denominator(U)`` and V an integer vector.  Ck and
-Uk are homogeneous of degree k in U, so
+U = V/D with D = ``common_denominator(U)``, the slot's scale, and V an
+integer vector.  Ck and Uk are homogeneous of degree k in U, so
 
     Ck(U) = Ck(V) / D**k,    Adj(U) = (C(N-1)(V)*e - V(N-1)) / D**(N-1),
 
-and the division happens once, at the end.  For an integer V every Ck(V)
+and the division happens once, at the end.  The recursion is not a product
+of slots, so it keeps these powers of D itself.  For an integer V every Ck(V)
 is an integer: it is a characteristic coefficient of the Gaussian-integer
 matrix beta(V) of the matrix representation, and it is real.  So every
 step stays in ints; a Ck that is not an integer is an error
@@ -108,12 +109,13 @@ class CharPoly:
 
 
 def _fl_stack(sig: Signature, slot: tuple):
-    """The recursion on a slot (stack, top) of ``algebra._slots``: B rows,
-    each the coefficients of one multivector V, in float64 when top is
-    None, else integers with top >= max|V|.  Returns ([C1 of each row, ...,
-    CN of each row], W) with W the (B, 2**n) array of V(N-1) - C(N-1)*e,
-    the negated adjugate."""
-    v, top = slot
+    """The recursion on a slot (stack, top, scale) of ``algebra._slots``:
+    B rows, each the coefficients of one multivector V, in float64 when top
+    is None, else integers with top >= max|V|.  Returns ([C1 of each row,
+    ..., CN of each row], W) with W the (B, 2**n) array of
+    V(N-1) - C(N-1)*e, the negated adjugate.  The recursion is not a product
+    of slots, so the caller divides Ck(V) by its own scale**k."""
+    v, top, _ = slot
     N = sig.N
     coeffs = []
     right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
@@ -164,9 +166,9 @@ def _fl_run(u: Multivector):
     """The recursion on one multivector u = V / D: (C1(V), ..., CN(V)),
     the row W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64
     with D = 1."""
-    (slot,), (d,) = _slots((u,))
+    [slot] = _slots((u,))
     coeffs, w = _fl_stack(u.sig, slot)
-    return [c[0] for c in coeffs], w[0], d
+    return [c[0] for c in coeffs], w[0], slot[2]
 
 
 def fl_coefficients(u: Multivector) -> CharPoly:
@@ -201,21 +203,26 @@ def inverse(u: Multivector) -> Multivector:
     return _to_multivector(u.sig, -w, det)
 
 
-def _newton_interpolate(nodes: Sequence, values: Sequence):
-    """Coefficients (ascending powers) of the polynomial through the nodes,
-    by exact divided differences."""
+def _newton_interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients (ascending powers) of the polynomial through the points
+    (x, values[x]), x = 0, 1, ...: samples of an integer polynomial, so each
+    divided difference, Delta**k f / k!, is an integer and a remainder
+    raises ConsistencyError."""
     table = list(values)
-    npts = len(nodes)
+    npts = len(table)
     for level in range(1, npts):
         for i in range(npts - 1, level - 1, -1):
-            table[i] = exact_ratio(table[i] - table[i - 1], nodes[i] - nodes[i - level])
+            diff = table[i] - table[i - 1]
+            table[i], rem = divmod(diff, level)
+            if rem:
+                raise ConsistencyError(
+                    f"divided difference {diff}/{level} of the samples is not an integer")
     # Expand the Newton form into monomial coefficients.
     poly = [table[npts - 1]]
     for i in range(npts - 2, -1, -1):
-        x_i = nodes[i]
         shifted = [0] + poly
         poly = [
-            shifted[d] - (x_i * poly[d] if d < len(poly) else 0)
+            shifted[d] - (i * poly[d] if d < len(poly) else 0)
             for d in range(len(shifted))
         ]
         poly[0] = poly[0] + table[i]
@@ -225,7 +232,7 @@ def _newton_interpolate(nodes: Sequence, values: Sequence):
 def _sample_dets(sig: Signature, rows) -> list:
     """Det of each integer row, from one run of the recursion on the stack."""
     top = max(abs(c) for row in rows for c in row)
-    coeffs, _ = _fl_stack(sig, (np.array(rows, _int_dtype(top)), top))
+    coeffs, _ = _fl_stack(sig, (np.array(rows, _int_dtype(top)), top, 1))
     return [-c for c in coeffs[-1]]
 
 
@@ -235,24 +242,23 @@ def charpoly_interp(u: Multivector) -> CharPoly:
     match ``fl_coefficients(u)``.
 
     With u = V/D, Det(x*e - u) = Det(x*D*e - V) / D**N: the N + 1 samples
-    are integer rows of one stack through the recursion, and the
-    interpolated coefficients are divided by D**N once.  A float input is
-    taken at the exact binary value of its coefficients, so every sample is
-    exact and each C(k) is rounded to float once, at the end.  An inf or nan
-    input coefficient, or a C(k) outside the double range, raises
+    are integer rows of one stack through the recursion, values of an
+    integer polynomial at consecutive integers, so the Newton table stays in
+    integers, and its coefficients are divided by D**N once, here: the
+    samples are not a product of slots, so they carry no scale.  A float
+    input is taken at the exact binary value of its coefficients, so every
+    sample is exact and each C(k) is rounded to float once, at the end.  An
+    inf or nan input coefficient, or a C(k) outside the double range, raises
     FloatRangeError.
     """
     sig = u.sig
     N = sig.N
     v, d = _integer_row(u)
-    nodes = list(range(N + 1))
-    rows = [[x * d - v[0]] + [-c for c in v[1:]] for x in nodes]
-    poly = _newton_interpolate(nodes, _sample_dets(sig, rows))
+    rows = [[x * d - v[0]] + [-c for c in v[1:]] for x in range(N + 1)]
+    poly = _newton_interpolate(_sample_dets(sig, rows))
     scale = d ** N
-    lead = exact_ratio(poly[N], scale)
-    if lead != 1:
-        raise ConsistencyError(
-            f"interpolated polynomial is not monic (leading coefficient {lead})"
-        )
+    if poly[N] != scale:
+        raise ConsistencyError("interpolated polynomial is not monic "
+                               f"(leading coefficient {exact_ratio(poly[N], scale)})")
     cp = CharPoly(sig, tuple(exact_ratio(-poly[N - k], scale) for k in range(1, N + 1)))
     return cp.to_float() if u.is_float else cp

@@ -124,10 +124,6 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
 def _json_value(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, Multivector):
-        return str(x)
     return x
 
 
@@ -402,11 +398,12 @@ def _cmd_formulas(args) -> int:
 # argument plumbing
 
 def _sig_type(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("signature must look like 'p,q'")
     try:
-        return Signature(int(parts[0]), int(parts[1]))
+        p, q = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("signature must look like 'p,q'") from None
+    try:
+        return Signature(p, q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -19,27 +19,27 @@ algebraic simplification is performed.  The catalog is exportable as a
 documented JSON term-tree format (see ``formula_to_json``).
 
 ``evaluate_terms`` is the one term-tree evaluator, and it runs on stacks,
-not on multivectors: each slot value is a (d+1, 2**n) array, the
-multivector coefficients of a polynomial in a commuting scalar t (d = 0 for
-a plain multivector).  Products go through ``algebra``'s one stack kernel,
-and a conjugation multiplies the stack by the cached sign vector.  Weights
-are scaled to integers, and the caller divides by their common denominator
-den once.
+not on multivectors: each slot value is an ``algebra`` slot (stack, top,
+scale) of value stack / scale, the stack a (d+1, 2**n) array of the
+multivector coefficients of a polynomial in a commuting scalar t.  Products
+go through ``algebra``'s one stack kernel, which multiplies the scales, and
+a conjugation multiplies the stack by the cached sign vector.  Weights are
+scaled to integers; the caller divides once by the scale it receives.
 
-An exact input is scaled to integers once, U = V/D.  A term of k slots is
-homogeneous of degree k, so X(U) = X(V)/D**k and
-Det(U) = F(V, ..., V)/(den * D**N); separate slot values Vi/Di divide by
-D1 * ... * DN.  Scalarity is checked on the integer row before anything is
-divided, so only the scalar part becomes a Fraction.  Integer products run
-in int64 under the bound of the ``algebra`` module docstring, and the
-weighted sum while sum |w| * max|term| < 2**63; otherwise in object dtype.
+An exact input is scaled to integers once, U = V/D.  A term uses each slot
+once, so a term of k slots has scale D**k: X(U) = X(V)/D**k and
+Det(U) = F(V, ..., V)/(den * D**N), den the weights' common denominator;
+separate slot values Vi/Di give D1 * ... * DN.  Scalarity is checked on
+the integer row before anything is divided, so only the scalar part becomes
+a Fraction.  Integer products run in int64 under the bound of the
+``algebra`` module docstring, and the weighted sum while
+sum |w| * max|term| < 2**63; otherwise in object dtype.
 Float stacks run in float64 and raise FloatRangeError where a value leaves
 the double range.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,14 +164,14 @@ class DetFormula:
         return charpoly_degree(self.n)
 
     def evaluate(self, values) -> Multivector:
-        """F(x1, ..., xN) on explicit per-slot multivectors.  F is linear in
-        each slot, so with xi = Vi/Di it is F(V1, ..., VN) / (D1 * ... * DN)."""
+        """F(x1, ..., xN) on per-slot multivectors of dimension n.  F is linear
+        in each slot, so with xi = Vi/Di it is F(V1, ..., VN) / (D1 * ... * DN)."""
         values = tuple(values)
         if len(values) != self.arity:
             raise ValueError(f"expected {self.arity} slot values, got {len(values)}")
-        slots, dens = _slots(values)
-        total, den = evaluate_terms(values[0].sig, self.terms, slots)
-        return _to_multivector(values[0].sig, total[0], den * math.prod(dens))
+        _require_dimension(self, values[0])
+        total, scale = evaluate_terms(values[0].sig, self.terms, _slots(values))
+        return _to_multivector(values[0].sig, total[0], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +300,8 @@ def _eval_node(sig, node: Node, values: Sequence):
     if isinstance(node, Slot):
         return values[node.index - 1]
     if isinstance(node, Conj):
-        stack, top = _eval_node(sig, node.child, values)
-        return stack * sig.conjugation_signs(node.conj), top
+        stack, top, scale = _eval_node(sig, node.child, values)
+        return stack * sig.conjugation_signs(node.conj), top, scale
     result = _eval_node(sig, node.factors[0], values)
     for factor in node.factors[1:]:
         result = _product(sig, result, _eval_node(sig, factor, values))
@@ -309,25 +309,25 @@ def _eval_node(sig, node: Node, values: Sequence):
 
 
 def evaluate_terms(sig, terms: Sequence[FormulaTerm], slots: Sequence[tuple]):
-    """The weighted sum of term trees, times the weights' common denominator
-    den: returns (stack, den).  Each slot value is a pair (stack, top), the
-    stack as in the module docstring and top an upper bound on max|stack|,
-    None for a float stack."""
+    """The weighted sum of term trees, stack / scale, as (stack, scale), on
+    slots (stack, top, scale) of ``algebra``.  Every term uses each slot
+    once, so all terms share one scale; the returned scale is that times the
+    weights' common denominator."""
     den = common_denominator(term.weight for term in terms)
-    if slots[0][1] is None:
-        return _in_double_range("a float sum of formula terms", lambda: sum(
-            int(term.weight * den) * _eval_node(sig, term.tree, slots)[0]
-            for term in terms)), den
     weighted = [(int(term.weight * den), _eval_node(sig, term.tree, slots))
                 for term in terms]
+    scale = den * weighted[0][1][2]
+    if slots[0][1] is None:
+        return _in_double_range("a float sum of formula terms", lambda: sum(
+            w * stack for w, (stack, _, _) in weighted)), scale
     if len(weighted) == 1 and weighted[0][0] == 1:
-        return weighted[0][1][0], den
+        return weighted[0][1][0], scale
     # The sum's int64 bound: no partial sum exceeds sum |w| * max|term|.
-    bound = sum(abs(w) * top for w, (_, top) in weighted)
+    bound = sum(abs(w) * top for w, (_, top, _) in weighted)
     if bound >= 1 << 63:
-        bound = sum(abs(w) * _max_abs(stack) for w, (stack, _) in weighted)
+        bound = sum(abs(w) * _max_abs(stack) for w, (stack, _, _) in weighted)
     dtype = _int_dtype(bound)
-    return sum(w * stack.astype(dtype, copy=False) for w, (stack, _) in weighted), den
+    return sum(w * stack.astype(dtype, copy=False) for w, (stack, _, _) in weighted), scale
 
 
 def _require_scalar(mv: Multivector, context: str) -> Scalar:
@@ -358,21 +358,21 @@ def evaluate_det(formula: DetFormula, u: Multivector) -> Scalar:
     """Det(u) by substituting u into every slot of the formula.  With
     u = V/D, Det(u) = F(V, ..., V) / D**N."""
     _require_dimension(formula, u)
-    (v,), (d,) = _slots((u,))
-    total, den = evaluate_terms(u.sig, formula.terms, (v,) * formula.arity)
+    total, scale = evaluate_terms(u.sig, formula.terms, _slots((u,)) * formula.arity)
     return _scalar(
-        u.sig, total[0], den * d ** formula.arity,
+        u.sig, total[0], scale,
         f"{formula.family}/{formula.variant} determinant formula (n={formula.n})",
     )
 
 
 def _adjugate_factors(term: FormulaTerm) -> tuple[Node, ...]:
     # Drop the bare common factor U from whichever end carries it.
-    factors = term.tree.factors
-    if isinstance(factors[0], Slot):
-        return factors[1:]
-    if isinstance(factors[-1], Slot):
-        return factors[:-1]
+    tree = term.tree
+    if isinstance(tree, Prod):
+        if isinstance(tree.factors[0], Slot):
+            return tree.factors[1:]
+        if isinstance(tree.factors[-1], Slot):
+            return tree.factors[:-1]
     raise ConsistencyError("formula term has no bare slot at either end")
 
 
@@ -381,9 +381,8 @@ def evaluate_adjugate(formula: DetFormula, u: Multivector) -> Multivector:
     term has N - 1 slots, so with u = V/D the sum is divided by D**(N-1)."""
     _require_dimension(formula, u)
     terms = [FormulaTerm(t.weight, Prod(_adjugate_factors(t))) for t in formula.terms]
-    (v,), (d,) = _slots((u,))
-    total, den = evaluate_terms(u.sig, terms, (v,) * formula.arity)
-    return _to_multivector(u.sig, total[0], den * d ** (formula.arity - 1))
+    total, scale = evaluate_terms(u.sig, terms, _slots((u,)) * formula.arity)
+    return _to_multivector(u.sig, total[0], scale)
 
 
 # ---------------------------------------------------------------------------

@@ -20,31 +20,32 @@ is X(k)(V), and
 
     X(k)(U) = X(k)(V) / D**k.
 
-Scalarity is checked on the integer rows before the one division.  The
-products stay in int64 under the bound of the ``algebra`` docstring, the
-sums under that of ``formulas``, and run in object dtype beyond them.
+The slots are scale-1 views of V, so ``vieta_all`` divides row k by its own
+D**k.  The slot D*e + tV over D of ``algebra._plus_constant`` is exact too,
+but it multiplies row k by D**(N-k), so rational inputs reach object dtype
+sooner and run slower.  Scalarity is checked on the integer rows before the
+one division.  The products stay in int64 under the bound of the
+``algebra`` docstring, the sums under that of ``formulas``, and run in
+object dtype beyond them.
 
 The ordered solution sets (x_k, v_k, y_k) for n <= 3 read the descending
-elementary sums E_k of y_1..y_N off (e + t y_N) ... (e + t y_1) the same
-way, each factor written (D_i*e + t*Y_i)/D_i.  The module also holds the
-closed-form eigenvalue comparison for n <= 2.
+elementary sums E_k of y_1..y_N off (e + t y_N) ... (e + t y_1), the
+product of the slots (D_i*e + t*Y_i)/D_i, divided by its scale once.  The
+module also holds the closed-form eigenvalue comparison for n <= 2.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+import functools
 from dataclasses import dataclass
 
-from .algebra import (EIGEN_COMPARE_TOL, Multivector, Scalar, _plus_constant, _slots,
-                      _to_multivector)
+from .algebra import (EIGEN_COMPARE_TOL, Multivector, Scalar, _plus_constant, _product,
+                      _slots, _to_multivector)
 from .charpoly import CharPoly, fl_coefficients, inverse
 from .errors import NotGenericError, NotInvertibleError
 from .formulas import (
     DetFormula,
-    FormulaTerm,
-    Prod,
-    Slot,
     _require_dimension,
     _require_scalar,
     _scalar,
@@ -80,8 +81,9 @@ def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
     be scalar (all grades >= 1 vanish) or ConsistencyError is raised.
     """
     _require_dimension(f, u)
-    (v,), (d,) = _slots((u,))
-    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant(v, 1),) * f.arity)
+    [(v, top, d)] = _slots((u,))
+    # The scale-1 view e + tV (module docstring): row k is D**k * X(k)(U).
+    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant((v, top, 1)),) * f.arity)
     coeffs = []
     for k in range(1, f.arity + 1):
         x_k = _scalar(u.sig, total[k], den * d ** k,
@@ -145,18 +147,15 @@ def coefficients_from_roots(ys) -> tuple[Multivector, ...]:
     y_ik ... y_i1 of k distinct y's, is the t**k coefficient of
     (e + t y_N) ... (e + t y_1).
 
-    With y_i = Y_i/D_i each factor is (D_i*e + t*Y_i)/D_i, so the product of
-    the integer factors is divided by D_1 * ... * D_N once.  For a valid
+    With y_i = Y_i/D_i each factor is the slot (D_i*e + t*Y_i)/D_i; their
+    product is divided by its scale D_1 * ... * D_N once.  For a valid
     ordered set these are scalar multivectors equal to C(k)."""
     ys = tuple(ys)
     if not ys:
         return ()
     sig = ys[0].sig
-    slots, dens = _slots(ys[::-1])
-    factors = [_plus_constant(v, d) for v, d in zip(slots, dens)]
-    product = FormulaTerm(1, Prod(tuple(Slot(i) for i in range(1, len(ys) + 1))))
-    total, _ = evaluate_terms(sig, (product,), factors)
-    scale = math.prod(dens)
+    total, _, scale = functools.reduce(
+        functools.partial(_product, sig), map(_plus_constant, _slots(ys[::-1])))
     return tuple(_to_multivector(sig, total[k] if k % 2 == 1 else -total[k], scale)
                  for k in range(1, len(ys) + 1))
 

@@ -265,6 +265,9 @@ def test_componentwise_operations():
     assert -(-u) == u
     assert u - v == u + (-v)
     assert (u + 3).scalar_part() == u.scalar_part() + 3
+    assert 1 - u == -(u - 1)
+    half = u / 2.0
+    assert half.is_float and half == Fraction(1, 2) * u
 
 
 def test_float_equality_tolerances():

@@ -226,6 +226,22 @@ def test_charpoly_interp_flags_bad_determinant_function(monkeypatch):
         charpoly_interp(u)
 
 
+def test_charpoly_interp_refuses_a_non_integer_divided_difference(monkeypatch):
+    # The samples are values of an integer polynomial at x = 0..N, so every
+    # divided difference is an integer.  One sample off by 1 breaks that at
+    # the second level, before the leading coefficient is looked at.
+    u = random_mvs(Signature(2, 0), 1, 30)[0]
+    sample_dets = charpoly._sample_dets
+
+    def perturbed(sig, rows):
+        dets = sample_dets(sig, rows)
+        return [dets[0] + 1] + dets[1:]
+
+    monkeypatch.setattr(charpoly, "_sample_dets", perturbed)
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        charpoly_interp(u)
+
+
 def test_charpoly_evaluate_scalars():
     s = Signature(1, 1)
     u = Multivector(s, (1, 2, 3, 4))

@@ -230,6 +230,12 @@ def test_eigen_command_with_ys(capsys):
     assert closed["lambdas_match_ys"] is False
 
 
+def test_eigen_command_text(capsys):
+    code, out, _ = run(capsys, "eigen", "--sig", "0,1", "e1")
+    assert code == 0
+    assert out.splitlines()[0] == "eigenvalues: 0-1j, 0+1j"
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", "--sig", "3,0", "--trials", "10",
                        "--seed", "7")
@@ -393,11 +399,31 @@ def test_formulas_text_by_signature(capsys):
     assert "n=2 triangle/standard" in out
 
 
+def test_formulas_without_a_selector_and_with_an_empty_one(capsys):
+    code, out, _ = run(capsys, "formulas", "--format", "text")
+    assert code == 0
+    assert len(out.splitlines()) == len(gadet.catalog_to_json()) == 16
+    code, _, err = run(capsys, "formulas", "--n", "1", "--family", "bar_tilde")
+    assert code == 2
+    assert "no cataloged formulas match family 'bar_tilde'" in err
+
+
 def test_formulas_n_and_sig_are_alternatives(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["formulas", "--n", "3", "--sig", "6,0"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_malformed_signature_exits_2(capsys):
+    for sig, message in (("2", "signature must look like 'p,q'"),
+                         ("a,b", "signature must look like 'p,q'"),
+                         ("7,0", "must be in [1, 6]"),
+                         ("-1,2", "non-negative")):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", f"--sig={sig}", "1"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_parse_error(capsys):

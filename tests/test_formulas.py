@@ -22,7 +22,8 @@ from gadet import (
     formula_from_json,
     formula_to_json,
 )
-from gadet.formulas import _CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, format_formula
+from gadet.formulas import (_CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, _read_formula,
+                            format_formula)
 from helpers import MATRIX_ORACLE, SIGNATURES, forbid, random_mvs, same_typed
 
 
@@ -178,6 +179,14 @@ def test_broken_formula_raises_consistency_error():
     u = Multivector.from_terms(s, {0: 1, 1: 2, 2: 5})
     with pytest.raises(ConsistencyError):
         evaluate_det(broken, u)
+    # A term that is a conjugation of the whole product has no bare slot at
+    # either end to drop for the adjugate.
+    conjugated = formula_from_json({"n": 1, "family": "bar", "terms": [{
+        "weight": "1", "tree": {"op": "conjugation", "kind": "bar", "child": {
+            "op": "product", "factors": [{"op": "slot", "index": 1},
+                                         {"op": "slot", "index": 2}]}}}]})
+    with pytest.raises(ConsistencyError, match="no bare slot"):
+        evaluate_adjugate(conjugated, Signature(1, 0).identity)
 
 
 def test_float_backend_evaluation():
@@ -272,6 +281,15 @@ def test_catalog_prints_as_written():
     assert len(_CATALOG_TEXT) == 16
     for (n, family, variant), text in _CATALOG_TEXT.items():
         assert format_formula(det_formula(n, family, variant)) == text
+    # No catalog entry nests a product directly in a product; one that does
+    # prints it in parentheses and reads back to the same trees.
+    data = formula_to_json(det_formula(3))
+    factors = data["terms"][0]["tree"]["factors"]
+    factors[:2] = [{"op": "product", "factors": factors[:2]}]
+    nested = formula_from_json(data)
+    text = format_formula(nested)
+    assert text == "(x1 * hat(x2)) * tilde(x3) * hat(tilde(x4))"
+    assert _read_formula(3, "triangle", "standard", text) == nested
 
 
 def test_construction_validates_slots_and_weights():

@@ -61,6 +61,13 @@ def test_f_function_arity_checked():
         f.evaluate((Signature(2, 0).identity,))
     with pytest.raises(SignatureMismatchError):
         f.evaluate((Signature(2, 0).identity, Signature(1, 1).identity))
+    # N is the same for n = 1 and 2, 3 and 4, 5 and 6, so the arity check
+    # alone lets slot values of the paired dimension through.
+    for n, other in ((1, 2), (3, 4), (5, 6)):
+        f = f_function(n)
+        u = random_multivector(Signature(other, 0), random.Random(1))
+        with pytest.raises(ValueError, match=f"formula is for n={n}"):
+            f.evaluate([u] * f.arity)
 
 
 def test_subset_mask_counts():
@@ -250,6 +257,7 @@ def test_gr_rejects_large_n():
 def test_coefficients_from_roots_match_descending_sums():
     # Arbitrary non-commuting ys, not roots: a_k must still be the signed sum
     # of descending products y_ij ... y_i1 over every index combination.
+    assert coefficients_from_roots(()) == ()
     for sig in [Signature(3, 0), Signature(2, 2), Signature(6, 0)]:
         for length in range(1, 5):
             ys = random_mvs(sig, length, 60 + length)
