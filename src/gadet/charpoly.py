@@ -34,13 +34,53 @@ in int64 under the product's bound from the ``algebra`` docstring,
 max|Uk - Ck| * max|V| * 2**n < 2**63, and in object dtype otherwise.
 Float rows run the same loop in float64, each step range-checked by
 ``algebra``'s one float check.
+
+Past int64, the modular route (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 3rd ed., ch. 5).  At n >= 5, the first step whose bound leaves
+int64 takes its Ck exactly, as above, and hands the rest of the recursion
+to GF(p): Uk - Ck and V are reduced modulo a few primes p < 2**28, and
+every later step is one batched int64 matmul over all primes, reduced mod
+p; 2**n * p**2 < 2**63 keeps it exact.  One contraction against cached
+Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V) and W, each in
+(-M/2, M/2) for M the product of the primes.  M exceeds twice the bound
+
+    |Cj(V)| <= binom(N, j) * S**j,   |<W>_A| < 2**N * S**(N-1),
+    S = max over rows of sum |V_A|,
+
+which holds because every blade matrix of the representation is unitary
+(Shirokov, *Comput. Appl. Math.* 40, 2021; ``matrix_rep`` checks it at
+construction), so every eigenvalue of beta(V) has |lambda| <= S.  One
+more prime checks the result: a value that disagrees with its residue
+there raises ConsistencyError, as a non-integer Ck or a bound too small
+would make it; the route never falls back silently.  It is taken from n
+and the prime count alone: n >= 5 and at most 63 primes, the table's
+length less the check prime; otherwise the steps go on in object dtype.
+
+fl_coefficients on integer rows with b-bit coefficients (2-vCPU x86-64
+VM, best of five, ms per call; "switch" is the step k that leaves int64):
+
+    n=4  G(4,0)  b=48..600   8..87 primes   object 0.08-0.44  modular 0.09-0.90
+    n=5  G(5,0)  b=7   k=6   4 primes       object 0.126      modular 0.113
+    n=5  G(5,0)  b=16  k=3   6 primes       object 0.38       modular 0.19
+    n=5  G(5,0)  b=96  k=1   29 primes      object 0.86       modular 0.52
+    n=5  G(5,0)  b=900 k=1   259 primes     object 18.0       modular 10.4
+    n=6  G(6,0)  b=7   k=6   4 primes       object 0.43       modular 0.20
+    n=6  G(6,0)  b=16  k=3   7 primes       object 1.25       modular 0.29
+    n=6  G(6,0)  b=96  k=1   29 primes      object 3.1        modular 1.26
+    n=6  G(6,0)  b=200 k=1   59 primes      object 6.8        modular 2.9
+    n=6  G(6,0)  b=900 k=1   259 primes     object 73         modular 25
+
+At n <= 4 the route lost at every size (0.5-0.9x); at n = 5 and 6 it won
+at every count measured, 4 to 259 primes, so the table's length is the
+only cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,22 +148,133 @@ class CharPoly:
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
+#: Primes below 2**28, the largest first; the route uses up to 63 of them
+#: and the next as a check.  2**6 * p**2 < 2**63, so a step of the
+#: recursion over GF(p) stays in int64 at every n; a test checks both this
+#: and that each entry is prime.
+_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
+    268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
+    268435129, 268435121, 268435109, 268435091, 268435067, 268435043, 268435039,
+    268435033, 268435019, 268435009, 268435007, 268434997, 268434979, 268434977,
+    268434961, 268434949, 268434941, 268434937, 268434857, 268434841, 268434827,
+    268434821, 268434787, 268434781, 268434779, 268434773, 268434731, 268434721,
+    268434713, 268434707, 268434703, 268434697, 268434659, 268434623, 268434619,
+    268434581, 268434577, 268434563, 268434557, 268434547, 268434511, 268434499,
+    268434479, 268434461, 268434401, 268434391, 268434389, 268434373, 268434289,
+    268434281,
+)
+
+#: The smallest n that takes the modular route: at n <= 4 object dtype is
+#: faster at every prime count measured (the module docstring's table).
+_MODULAR_MIN_N = 5
+
+
+@cache
+def _crt_table(count: int):
+    """The first ``count`` primes and one check prime after them, as an
+    int64 column; their product M without the check prime; the CRT
+    coefficients (M/p) * ((M/p)**-1 mod p) of the ``count`` primes, as an
+    object array; and k**-1 mod each prime for k = 1..8 (column 0 unused)."""
+    primes = _PRIMES[:count + 1]
+    modulus = math.prod(primes[:count])
+    crt = np.array([modulus // p * pow(modulus // p, -1, p) for p in primes[:count]], object)
+    inverses = np.array([[0] + [pow(k, -1, p) for k in range(1, 9)] for p in primes])
+    return np.array(primes)[:, None], modulus, crt, inverses
+
+
+def _prime_count(bound: int) -> int:
+    """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound;
+    len(_PRIMES) when all but the check prime fall short."""
+    product = 1
+    for count, p in enumerate(_PRIMES[:-1], 1):
+        product *= p
+        if product > 2 * bound:
+            return count
+    return len(_PRIMES)
+
+
+def _modular_bound(sig: Signature, v: np.ndarray, top: int, k: int) -> int:
+    """The module docstring's bound on |C(k+1)(V)|, ..., |CN(V)| and on
+    each blade coefficient of W, over the rows V of v.  Adj(V) is
+    C(N-1)*e + C(N-2)*V + ... - V**(N-1), so the norm of its matrix is below
+    sum_j binom(N, j) * S**(N-1) < 2**N * S**(N-1); a blade coefficient of
+    X, Tr(beta(e_A)^H beta(X)) / N, is at most that norm, since beta(e_A)
+    is unitary."""
+    N = sig.N
+    if top << sig.n < 1 << 63:
+        s = int(abs(v).sum(axis=1).max())
+    else:
+        s = max(sum(map(abs, row)) for row in v.tolist())
+    return max(max(math.comb(N, j) * s ** j for j in range(k + 1, N + 1)),
+               s ** (N - 1) << N)
+
+
+def _residues(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """x modulo each prime of the column ``primes``, stacked on a new first
+    axis, in int64; x is an int64 or object array."""
+    shape = primes.shape[:1] + (1,) * x.ndim
+    if x.dtype == object:
+        return (x % primes.astype(object).reshape(shape)).astype(np.int64)
+    return x % primes.reshape(shape)
+
+
+def _fl_modular(sig: Signature, v: np.ndarray, w: np.ndarray, col: list, k: int,
+                count: int) -> tuple[list, np.ndarray]:
+    """Steps k..N-1 of the recursion from Uk = w, Ck already taken (its
+    scalar column Uk - Ck is ``col``), over GF(p) for ``count`` primes and a
+    check prime at once: one batched int64 matmul per step.  Each product is
+    a sum of 2**n terms below p**2, inside int64.  Returns the residues
+    rebuilt by the Chinese remainder theorem: [C(k+1) of each row, ..., CN
+    of each row] and W, in Python ints.  A value that disagrees with its
+    residue modulo the check prime raises ConsistencyError."""
+    N, B = sig.N, len(v)
+    primes, modulus, crt, inverses = _crt_table(count)
+    p = primes[:, :, None]
+    vp = _residues(v, primes)
+    wp = _residues(w, primes)
+    wp[:, :, 0] = _residues(np.array(col, object), primes)
+    right = sig._right_factors(vp)
+    residues = []
+    for j in range(k + 1, N):
+        wp = (wp[:, :, None, :] @ right)[:, :, 0, :] % p
+        s = wp[:, :, 0]
+        c = N * s % primes * inverses[:, j:j + 1] % primes
+        residues.append(c)
+        wp[:, :, 0] = (s - c) % primes
+    # CN = <(U(N-1) - C(N-1)) * U>_0, a dot product over the blades.
+    residues.append(((wp * vp) @ sig._square_signs)[:, :, 0] % primes)
+    residues = np.concatenate(residues + [wp.reshape(len(primes), -1)], axis=1)
+    values = crt @ residues[:-1].astype(object) % modulus
+    values[values > modulus >> 1] -= modulus
+    if ((values % int(primes[-1, 0])) != residues[-1]).any():
+        raise ConsistencyError(
+            f"the trace recursion modulo {count} primes disagrees with the check prime")
+    values = values.tolist()
+    coeffs = [values[i:i + B] for i in range(0, (N - k) * B, B)]
+    return coeffs, np.array(values[(N - k) * B:], object).reshape(B, sig.dim)
+
+
 def _fl_stack(sig: Signature, slot: tuple):
     """The recursion on a slot (stack, top, scale) of ``algebra._slots``:
     B rows, each the coefficients of one multivector V, in float64 when top
     is None, else integers with top >= max|V|.  Returns ([C1 of each row,
     ..., CN of each row], W) with W the (B, 2**n) array of
     V(N-1) - C(N-1)*e, the negated adjugate.  The recursion is not a product
-    of slots, so the caller divides Ck(V) by its own scale**k."""
+    of slots, so the caller divides Ck(V) by its own scale**k.  Where an
+    integer step first leaves int64 with a product step still to come, the
+    rest takes the modular route when n and the prime count allow (module
+    docstring)."""
     v, top, _ = slot
     N = sig.N
     coeffs = []
     right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
     penult = None
+    modular = sig.n >= _MODULAR_MIN_N
 
     def step(w, k):
         # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
-        nonlocal penult
+        nonlocal penult, modular
         if top is None:
             ck = (N / k) * w[:, 0]
             col, dtype = w[:, 0] - ck, w.dtype
@@ -142,6 +293,13 @@ def _fl_stack(sig: Signature, slot: tuple):
             # product or the dot product below.
             dtype = _int_dtype(max(1, _max_abs(w), *map(abs, col)) * top << sig.n)
         coeffs.append(ck)
+        if dtype is object and modular and k < N - 1:
+            modular = False
+            count = _prime_count(_modular_bound(sig, v, top, k))
+            if count < len(_PRIMES):
+                rest, penult = _fl_modular(sig, v, w, col, k, count)
+                coeffs.extend(rest)
+                return None
         w = w.astype(dtype)
         w[:, 0] = col
         vk = v.astype(dtype, copy=False)
@@ -158,49 +316,67 @@ def _fl_stack(sig: Signature, slot: tuple):
     for k in range(1, N):
         w = step(w, k) if top is not None else _in_double_range(
             "a float step of the trace recursion", step, w, k)
+        if w is None:
+            return coeffs, penult
     coeffs.append(w[:, 0].tolist())  # CN = (N/N) * <UN>_0
     return coeffs, penult
 
 
-def _fl_run(u: Multivector):
-    """The recursion on one multivector u = V / D: (C1(V), ..., CN(V)),
-    the row W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64
-    with D = 1."""
+class _FlRun(NamedTuple):
+    """One run of the recursion on u = V / D: (C1(V), ..., CN(V)), the row
+    W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64 with D = 1.
+    The determinant, adjugate and inverse are each read off a run."""
+
+    sig: Signature
+    coeffs: list
+    w: np.ndarray
+    d: int
+
+    def det(self) -> Scalar:
+        det = -self.coeffs[-1]
+        return det if self.d == 1 else exact_ratio(det, self.d ** self.sig.N)
+
+    def adjugate(self) -> Multivector:
+        return _to_multivector(self.sig, -self.w, self.d ** (self.sig.N - 1))
+
+    def inverse(self) -> Multivector:
+        det, w, d = -self.coeffs[-1], self.w, self.d
+        if det == 0:
+            raise NotInvertibleError(det)
+        # Adj(u) / Det(u) = (-W / D**(N-1)) / (det / D**N) = -W * D / det, with
+        # W * D in Python ints: an int64 row times D can overflow unchecked.
+        if d != 1:
+            w = w.astype(object) * d
+        return _to_multivector(self.sig, -w, det)
+
+
+def _fl_run(u: Multivector) -> _FlRun:
+    """The recursion on one multivector u."""
     [slot] = _slots((u,))
     coeffs, w = _fl_stack(u.sig, slot)
-    return [c[0] for c in coeffs], w[0], slot[2]
+    return _FlRun(u.sig, [c[0] for c in coeffs], w[0], slot[2])
 
 
 def fl_coefficients(u: Multivector) -> CharPoly:
     """All characteristic coefficients of u by the trace recursion."""
-    coeffs, _, d = _fl_run(u)
+    _, coeffs, _, d = _fl_run(u)
     return CharPoly(u.sig, tuple(c if d == 1 else exact_ratio(c, d ** k)
                                  for k, c in enumerate(coeffs, 1)))
 
 
 def det_fl(u: Multivector) -> Scalar:
     """Det(u) = -CN via the trace recursion."""
-    coeffs, _, d = _fl_run(u)
-    return -coeffs[-1] if d == 1 else exact_ratio(-coeffs[-1], d ** u.sig.N)
+    return _fl_run(u).det()
 
 
 def adjugate(u: Multivector) -> Multivector:
     """Adj(u) = C(N-1)*e - U(N-1), so that u*Adj(u) = Adj(u)*u = Det(u)*e."""
-    _, w, d = _fl_run(u)
-    return _to_multivector(u.sig, -w, d ** (u.sig.N - 1))
+    return _fl_run(u).adjugate()
 
 
 def inverse(u: Multivector) -> Multivector:
     """u**-1 = Adj(u) / Det(u); raises NotInvertibleError when Det(u) = 0."""
-    coeffs, w, d = _fl_run(u)
-    det = -coeffs[-1]
-    if det == 0:
-        raise NotInvertibleError(det)
-    # Adj(u) / Det(u) = (-W / D**(N-1)) / (det / D**N) = -W * D / det, with
-    # W * D in Python ints: an int64 row times D can overflow unchecked.
-    if d != 1:
-        w = w.astype(object) * d
-    return _to_multivector(u.sig, -w, det)
+    return _fl_run(u).inverse()
 
 
 def _newton_interpolate(values: Sequence[int]) -> list[int]:

@@ -30,8 +30,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import Multivector, Scalar, Signature, close, random_multivector
-from .charpoly import (CharPoly, adjugate, charpoly_interp, det_fl,
-                       fl_coefficients, inverse)
+from .charpoly import CharPoly, _fl_run, charpoly_interp, det_fl, fl_coefficients
 from .errors import (
     ConsistencyError,
     FloatRangeError,
@@ -61,7 +60,7 @@ from .vieta import eigen_compare, f_function, gelfand_retakh_ys, vieta_all
 _TERM = re.compile(
     r"""
     \s*(?P<sign>[+-])?\s*
-    (?:(?P<number>\d+\.\d+(?:[eE][+-]\d+)?|\d+[eE][+-]\d+|\d+(?:/\d+)?)
+    (?:(?P<number>\d+\.\d+(?:[eE][+-]\d+)?|\d+[eE][+-]\d+|(?P<int>\d+)(?:/(?P<den>\d+))?)
        \s*(?P<star>\*)?\s*)?
     (?P<blade>e\d+)?\s*
     """,
@@ -105,11 +104,15 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
                 raise ParseError("dangling sign", m.start("sign"))
             raise _expected("a number or blade", text, m.end())
         coeff = 1
-        if number:
-            try:
-                coeff = Fraction(number)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {number!r}") from None
+        if m["den"]:
+            den = int(m["den"])
+            if not den:
+                raise ParseError(f"zero denominator in {number!r}")
+            coeff = Fraction(int(m["int"]), den)
+        elif m["int"]:
+            coeff = int(number)
+        elif number:
+            coeff = Fraction(number)  # a decimal, at its exact value
         if star and not blade:
             raise ParseError("expected blade after '*'", m.start("star"))
         bits = _blade_bits(blade, m.start("blade"), sig) if blade else 0
@@ -246,10 +249,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    u = _input_multivector(args)
-    inv = inverse(u)
-    adj = adjugate(u)
-    det = det_fl(u)
+    run = _fl_run(_input_multivector(args))
+    inv, adj, det = run.inverse(), run.adjugate(), run.det()
     payload = {
         "signature": [args.sig.p, args.sig.q], "input": args.expression,
         "method": "fl", "det": _json_value(det),

@@ -89,7 +89,8 @@ def _real_form(m: np.ndarray) -> np.ndarray:
 
 class Representation:
     """Cached generator matrices and blade table for one signature,
-    self-checked."""
+    self-checked: the generator relations, every blade matrix unitary, and
+    the blades orthogonal."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -101,8 +102,9 @@ class Representation:
         for g in self.generators:
             blades = np.concatenate([blades, blades @ g])
         table = _real_form(blades)
+        self._check_unitary(table)
         self._check_faithful(table)
-        # The Gram check bounds every entry by sqrt(N), so int8 holds them.
+        # Unitary blades have entries of modulus at most 1, so int8 holds them.
         self.table = table.reshape(sig.dim, -1).astype(np.int8)
 
     def _check_relations(self, gens: np.ndarray) -> None:
@@ -116,6 +118,17 @@ class Representation:
             raise ConsistencyError(
                 f"generator relation failed for (e{a+1}, e{b+1}) in {sig}"
             )
+
+    def _check_unitary(self, table: np.ndarray) -> None:
+        # beta(e_A)^H beta(e_A) = I for every blade: the real form of X^H is
+        # the transpose of X's.  Every eigenvalue of beta(V) then has
+        # |lambda| <= sum |V_A|, the bound of fl's modular route.
+        sig = self.sig
+        products = table.transpose(0, 2, 1) @ table
+        bad = np.argwhere((products != np.eye(2 * sig.N, dtype=np.int64)).any(axis=(1, 2)))
+        if bad.size:
+            raise ConsistencyError(
+                f"blade {sig.blade_name(bad[0, 0])} is not unitary in {sig}")
 
     def _check_faithful(self, table: np.ndarray) -> None:
         # The Hermitian Gram matrix of the flattened blade matrices must be

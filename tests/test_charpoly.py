@@ -323,18 +323,160 @@ def test_stack_int64_guard_is_exact_at_its_boundary():
     assert fl_coefficients(u) == charpoly_matrix(u)
 
 
-def test_interp_stack_with_rows_of_different_dtypes():
+def spy_modular(monkeypatch) -> list:
+    """Record (k, prime count) of each entry into the modular route."""
+    switches = []
+    modular = charpoly._fl_modular
+
+    def spy(sig, v, w, col, k, count):
+        switches.append((k, count))
+        return modular(sig, v, w, col, k, count)
+
+    monkeypatch.setattr(charpoly, "_fl_modular", spy)
+    return switches
+
+
+def test_interp_stack_with_rows_of_different_dtypes(monkeypatch):
     # One stack through the recursion: a row that stays in int64, one that
     # leaves it partway and one that starts beyond it.  Each sample must be
-    # the row's own determinant.
-    sig = Signature(3, 2)
+    # the row's own determinant.  At n >= 5 the stack crosses into the
+    # modular route where it leaves int64; at n = 4 it goes on in object
+    # dtype.
+    switches = spy_modular(monkeypatch)
     r = random.Random(12)
-    rows = [[r.randint(-9, 9) for _ in range(sig.dim)],
-            [r.randint(-2 ** 20, 2 ** 20) for _ in range(sig.dim)],
-            [r.randint(-2 ** 70, 2 ** 70) for _ in range(sig.dim)]]
-    dets = charpoly._sample_dets(sig, rows)
-    assert dets == [det_matrix(Multivector(sig, row)) for row in rows]
-    assert all(type(d) is int for d in dets)
+    for sig in (Signature(3, 2), Signature(2, 2), Signature(6, 0)):
+        rows = [[r.randint(-9, 9) for _ in range(sig.dim)],
+                [r.randint(-2 ** 20, 2 ** 20) for _ in range(sig.dim)],
+                [r.randint(-2 ** 70, 2 ** 70) for _ in range(sig.dim)]]
+        count = len(switches)
+        dets = charpoly._sample_dets(sig, rows)
+        assert dets == [det_matrix(Multivector(sig, row)) for row in rows]
+        assert all(type(d) is int for d in dets)
+        assert len(switches) == count + (sig.n >= 5)
+
+
+def _is_prime(p: int) -> bool:
+    # Deterministic Miller-Rabin: these bases decide every p < 3.4 * 10**14.
+    if p < 2:
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17):
+        if a % p == 0:
+            continue
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_primes_are_prime_and_keep_a_step_in_int64():
+    primes = charpoly._PRIMES
+    assert len(set(primes)) == len(primes) == 64
+    assert not _is_prime(268435457) and _is_prime(268435399)  # 2**28 + 1 = 17 * 15790321
+    for p in primes:
+        assert _is_prime(p), p
+        # A GF(p) step sums 2**n products below p**2, n <= 6.
+        assert p < 2 ** 28 and 2 ** 6 * p * p < 2 ** 63
+
+
+@pytest.mark.parametrize("sig", [Signature(6, 0), Signature(0, 5)])
+def test_modular_route_is_exact_at_its_bound(monkeypatch, sig):
+    # V = s*e attains the bound: beta(V) = s*I, so |Ck| = binom(N, k) * s**k,
+    # and CN = -s**N is the largest value rebuilt.  s**N lies between half
+    # the product of the first six primes and that product, so the route
+    # needs a seventh.  The prime count is the fewest whose product exceeds
+    # twice the bound, so one prime short cannot hold CN: the route must
+    # raise or give another value.
+    switches = spy_modular(monkeypatch)
+    N = sig.N
+    six = math.prod(charpoly._PRIMES[:6])
+    s = round(six ** (1 / N))
+    while s ** N > six:
+        s -= 1
+    assert six < 2 * s ** N
+    u = Multivector.scalar(sig, Fraction(s, 3))
+    expected = tuple(-math.comb(N, k) * (-s) ** k for k in range(1, N + 1))
+    cp = fl_coefficients(u)
+    assert cp.coeffs == tuple(Fraction(c, 3 ** k) for k, c in enumerate(expected, 1))
+    [(k, count)] = switches
+    assert k < N - 1 and count == 7
+    prime_count = charpoly._prime_count
+    monkeypatch.setattr(charpoly, "_prime_count", lambda bound: prime_count(bound) - 1)
+    try:
+        short = fl_coefficients(u)
+    except ConsistencyError:
+        return
+    assert short.coeffs != cp.coeffs
+
+
+def test_modular_route_refuses_a_broken_product(monkeypatch):
+    # A broken product table makes some C(k) non-integers; over GF(p) they
+    # cannot be told from integers, so the check prime must refuse the
+    # values rebuilt by CRT.
+    sig = Signature(6, 0)
+    r = random.Random(21)
+    u = Multivector(sig, (Fraction(r.randint(-99, 99), r.randint(1, 99)) for _ in range(sig.dim)))
+    switches = spy_modular(monkeypatch)
+    right_factors = Signature._right_factors
+    monkeypatch.setattr(Signature, "_right_factors",
+                        lambda self, b: right_factors(self, b) + 1)
+    with pytest.raises(ConsistencyError, match="check prime"):
+        det_fl(u)
+    # C1 = 8 * <V>_0 is an integer however broken the product is; the
+    # route starts right after it.
+    assert switches[0][0] == 1
+
+
+def test_modular_route_matches_object_dtype(monkeypatch):
+    # Every exact result, and float interp, in value and type, with the
+    # modular route and without it (object dtype throughout).  The inputs
+    # enter the route at most of its steps.
+    r = random.Random(23)
+    inputs = []
+    for sig in SIGNATURES:
+        d = sig.dim
+        inputs += [Multivector(sig, (r.randint(-9, 9) for _ in range(d))),
+                   Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
+                                     for _ in range(d))),
+                   Multivector(sig, (r.randint(-2 ** 8, 2 ** 8) for _ in range(d))),
+                   Multivector(sig, (r.choice((-1, 1)) * 10 ** 12 for _ in range(d))),
+                   Multivector(sig, (r.randint(-2 ** 70, 2 ** 70) for _ in range(d))),
+                   # <V>_0 - C1 = 7 * (2**61 + 1) at n >= 5: a scalar column
+                   # past int64 that still fits uint64.
+                   Multivector(sig, [-2 ** 61 - 1] + [r.randint(-9, 9) for _ in range(d - 1)]),
+                   Multivector(sig, (Fraction(r.randint(-2 ** 70, 2 ** 70), r.randint(1, 2 ** 40))
+                                     for _ in range(d))).to_float()]
+
+    def inverse_or_det(u):
+        try:
+            return inverse(u).coeffs
+        except NotInvertibleError as exc:  # +-10**12 rows can be singular
+            return (exc.det,)
+
+    def results():
+        out = []
+        for u in inputs:
+            if not u.is_float:
+                out += [(det_fl(u),), fl_coefficients(u).coeffs, adjugate(u).coeffs,
+                        inverse_or_det(u)]
+            out.append(charpoly_interp(u).coeffs)
+        return out
+
+    switches = spy_modular(monkeypatch)
+    modular = results()
+    assert len({k for k, _ in switches}) >= 5
+    monkeypatch.setattr(charpoly, "_MODULAR_MIN_N", 7)
+    count = len(switches)
+    assert all(map(same_typed, modular, results()))
+    assert len(switches) == count
 
 
 def test_recursion_refuses_a_non_integer_coefficient(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
@@ -123,6 +124,44 @@ def test_parse_errors():
     assert parse_multivector("2.5e-2", s).coeffs == (Fraction(1, 40), 0, 0, 0)
 
 
+def _coefficients(text: str, sig: Signature) -> tuple:
+    u = parse_multivector(text, sig)
+    return u.coeffs, tuple(map(type, u.coeffs))
+
+
+def test_parse_integers_as_ints_keeps_values_and_types():
+    # Integer tokens parse with int and a/b with Fraction(int, int); the
+    # coefficients equal, in value and type, those of parsing every number
+    # as a Fraction and normalising.
+    s = Signature(2, 0)
+    for text, coeffs in [("0/5", (0, 0, 0, 0)), ("007", (7, 0, 0, 0)), ("6/3", (2, 0, 0, 0)),
+                         ("1.5e+3", (1500, 0, 0, 0)), ("2e1", (0, 2, 0, 0)),
+                         ("1/2 + 1/2 - 3/4*e12", (1, 0, 0, Fraction(-3, 4))),
+                         ("4/6*e2 + 1 + 0.5", (Fraction(3, 2), 0, Fraction(2, 3), 0))]:
+        assert _coefficients(text, s) == (coeffs, tuple(map(type, coeffs))), text
+    with pytest.raises(ParseError, match="zero denominator in '3/0'"):
+        parse_multivector("3/0", s)
+
+
+def _query_exact_requests():
+    # The requests of the benchmark's query-exact workload that a seed-1
+    # traced run sends: its first four blocks.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.first_blocks(workloads.QueryExact(), 1, 4)
+
+
+def test_parse_query_exact_requests_keeps_values_and_types():
+    requests = _query_exact_requests()
+    assert len(requests) == 972
+    for req in requests:
+        expected = Multivector(req.sig, req.coeffs).coeffs
+        assert _coefficients(req.text, req.sig) == (expected, tuple(map(type, expected)))
+
+
 def test_print_parse_round_trip():
     rng = random.Random(0)
     for sig in [Signature(1, 0), Signature(2, 1), Signature(3, 3)]:
@@ -215,6 +254,55 @@ def test_inverse_command(capsys):
     assert payload["inverse"] == "e1"
     assert payload["adjugate"] == "-e1"
     assert payload["det"] == -1
+
+
+_INVERSE_TEXT = """\
+inverse: 5058/19825 + 4692/19825*e1 + 9144/19825*e23 + 2556/19825*e123
+adjugate: 281/72 + 391/108*e1 + 127/18*e23 + 71/36*e123
+det: 19825/1296
+"""
+
+# At n = 5 this input's recursion finishes modulo primes.
+_INVERSE_JSON = (
+    '{"signature": [2, 3], "input": "1/2+1/3*e1-2/7*e23+5*e45+1/5*e12345", "method": "fl", '
+    '"det": "1577792430171672700963441/3782285936100000000", '
+    '"adjugate": "1387037280612431069/171532242000000 + 1466581302986576419/257298363000000*e1 '
+    '- 1496529159341355119/300181423500000*e23 - 1407599206512666637/17153224200000*e45 '
+    '- 3635466694723/8168202000*e123 + 240144223711249/204205050000*e145 '
+    '- 211825862416103/204205050000*e2345 + 1106312009953186931/428830605000000*e12345", '
+    '"inverse": "30584172037504105071450/1577792430171672700963441 '
+    '+ 21558745153902673359300/1577792430171672700963441*e1 '
+    '- 18856267407701074499400/1577792430171672700963441*e23 '
+    '- 310375625036042993458500/1577792430171672700963441*e45 '
+    '- 1683402852991485150000/1577792430171672700963441*e123 '
+    '+ 4447951311579753978000/1577792430171672700963441*e145 '
+    '- 3923438623671059766000/1577792430171672700963441*e2345 '
+    '+ 9757671927787108731420/1577792430171672700963441*e12345"}\n'
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--sig", "3,0", "1/2+1/3*e1-2*e23+e123"), _INVERSE_TEXT),
+    (("--sig", "2,3", "--format", "json", "1/2+1/3*e1-2/7*e23+5*e45+1/5*e12345"),
+     _INVERSE_JSON),
+    (("--sig", "2,0", "--backend", "float", "--format", "json", "1/2+1/3*e1"),
+     '{"signature": [2, 0], "input": "1/2+1/3*e1", "method": "fl", '
+     '"det": 0.1388888888888889, "adjugate": "0.5 - 0.3333333333333333*e1", '
+     '"inverse": "3.5999999999999996 - 2.4*e1"}\n'),
+])
+def test_inverse_command_runs_the_recursion_once(capsys, monkeypatch, argv, expected):
+    runs = Counter()
+    fl_run = gadet.charpoly._fl_run
+
+    def counted(u):
+        runs["fl"] += 1
+        return fl_run(u)
+
+    substitute(monkeypatch, (fl_run,), lambda fn: counted)
+    code, out, _ = run(capsys, "inverse", *argv)
+    assert code == 0
+    assert out == expected
+    assert runs["fl"] == 1
 
 
 def test_eigen_command_with_ys(capsys):

@@ -80,10 +80,20 @@ def _unnegated_last_block(gens):
     return gens[:-1] + [g]
 
 
+def _similar(gens):
+    # Every generator conjugated by the unimodular S = [[1, 1], [0, 1]] (x) I:
+    # the relations hold, entries stay integers, but S is not unitary.
+    s = np.kron([[1, 1], [0, 1]], np.eye(len(gens[0]) // 2))
+    s_inv = np.kron([[1, -1], [0, 1]], np.eye(len(gens[0]) // 2))
+    return [s @ g @ s_inv for g in gens]
+
+
 @pytest.mark.parametrize("corrupt, sig, message", [
     (_corrupt_phase, Signature(2, 0), "relation"),
     (_corrupt_column, Signature(2, 0), "relation"),
     (_unnegated_last_block, Signature(3, 0), "proportional"),
+    (_similar, Signature(2, 0), "not unitary"),
+    (_similar, Signature(3, 3), "not unitary"),
 ])
 def test_self_checks_reject_a_corrupted_generator(monkeypatch, corrupt, sig, message):
     good = matrix_rep._generators
@@ -183,12 +193,12 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
     # The product table's gather, the integer scaling, the stack product
-    # kernel, the float range check, fl's stack kernel, and the term-tree
-    # evaluator.
+    # kernel, the float range check, fl's stack kernel and its modular
+    # route, and the term-tree evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
     forbid(monkeypatch, (algebra._integer_row, algebra._slots, algebra._product,
                          algebra._in_double_range, charpoly._fl_stack,
-                         formulas.evaluate_terms),
+                         charpoly._fl_modular, formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})
