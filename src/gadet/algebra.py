@@ -35,9 +35,9 @@ stack / scale, with top >= max|stack| (None for a float64 stack, scale 1).
 Vieta polynomials in ``vieta`` all run on it, and the trace recursion in
 ``charpoly`` runs on the same slots.  One check, ``_in_double_range``,
 raises FloatRangeError where a float product, divide-back, sum of formula
-terms or recursion step leaves the double range.  Exact values are scaled
-to integers once, U = V/D (``_slots``: scale D), contracted with their
-scales multiplied, then divided back once (``_to_multivector``).  An
+terms or recursion step leaves the double range.  An exact value is
+stored as U = V/D, so ``_slots`` reads its row V with scale D, the kernel
+multiplies the scales, and ``_to_multivector`` reduces by one gcd.  An
 integer contraction of a left stack L by a right stack R runs in int64 when
 
     max|L| * max|R| * min(d_L + 1, d_R + 1) * 2**n < 2**63,
@@ -50,9 +50,10 @@ leaves [-(2**63 - 1), 2**63 - 1].  For two multivectors (d_L = d_R = 0) it
 reads max|a| * max|b| * 2**n < 2**63.  Every integer kernel of the package
 picks its dtype from such a bound with :func:`_int_dtype`.
 
-Exact +, - and scaling keep normal form (an int when whole) and skip the
-normalising pass when every result coefficient is an int, which holds
-unless a Fraction took part.
+An exact multivector is one integer row over one positive denominator in
+lowest terms, so two exact values are equal iff their rows and denominators
+are (Knuth, *TAOCP* vol. 2, 4.5.1).  Exact arithmetic reduces once, in
+``Multivector._from_row``; ``coeffs`` is a view in normal form.
 
 Every float tolerance of the package is defined here.  :func:`close` is the
 one scalar agreement rule; multivector and characteristic-polynomial
@@ -297,32 +298,11 @@ def _normalize_exact(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def common_denominator(coeffs) -> int:
-    """The least common multiple of the exact coefficients' denominators."""
-    d = 1
-    for c in coeffs:
-        cd = c.denominator
-        if cd != 1:
-            d = d * cd // math.gcd(d, cd)
-    return d
-
-
 def _int_dtype(bound: int):
     """The dtype of an integer kernel whose every intermediate is at most
     ``bound`` in magnitude: int64 when bound < 2**63, else object (Python
     ints, which cannot overflow)."""
     return np.int64 if bound < 1 << 63 else object
-
-
-def _integer_row(u: "Multivector") -> tuple[list, int]:
-    """(V, D) with u = V / D: V integer coefficients, D = common_denominator.
-    A float input is taken at its exact binary value, so D is a power of two;
-    an inf or nan coefficient raises FloatRangeError."""
-    coeffs = u.to_exact().coeffs
-    d = common_denominator(coeffs)
-    if d == 1:
-        return list(coeffs), 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +322,11 @@ def _slots(values: Sequence["Multivector"]) -> list[tuple]:
     if any(v.sig is not sig for v in values):
         raise SignatureMismatchError("slot values from different algebras")
     if any(v.is_float for v in values):
-        return [(np.array([v.to_float().coeffs], np.float64), None, 1) for v in values]
+        return [(np.array([v.to_float()._row], np.float64), None, 1) for v in values]
     slots = []
     for v in values:
-        row, d = _integer_row(v)
-        top = max(map(abs, row))
-        slots.append((np.array([row], _int_dtype(top)), top, d))
+        top = max(map(abs, v._row))
+        slots.append((np.array([v._row], _int_dtype(top)), top, v._den))
     return slots
 
 
@@ -406,15 +385,12 @@ def _contract(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _to_multivector(sig: Signature, row: np.ndarray, scale) -> "Multivector":
-    """The multivector row / scale; a float result is range-checked here,
-    once."""
+    """The multivector row / scale: an integer row reduced by one gcd, a
+    float row range-checked here, once."""
     if row.dtype == np.float64:
         row = _in_double_range("a float coefficient", np.divide, row, scale)
-        return Multivector._raw(sig, tuple(row.tolist()), True)
-    coeffs = row.tolist()
-    if scale != 1:
-        coeffs = [exact_ratio(c, scale) for c in coeffs]
-    return Multivector._raw(sig, tuple(coeffs), False)
+        return Multivector._raw(sig, tuple(row.tolist()), 1, True)
+    return Multivector._from_row(sig, row.tolist(), scale)
 
 
 def exact_ratio(num, den):
@@ -433,15 +409,17 @@ def close(x: Scalar, y: Scalar) -> bool:
 class Multivector:
     """A dense multivector of G(p, q); immutable.
 
-    ``coeffs`` holds one coefficient per blade mask.  Construct with any
-    iterable of 2**n numbers, or through :meth:`scalar`, :meth:`blade`,
-    :meth:`basis_blade`, :meth:`from_terms`.  Every float-backed value is
-    finite: construction, arithmetic and :meth:`to_float` raise
-    FloatRangeError where a coefficient would be inf or nan, or too large
-    for a float.
+    An exact value is stored as one integer row over one positive
+    denominator, gcd(row, den) = 1; a float value is its float row over 1.
+    ``coeffs`` is a read-only view of it, one coefficient per blade mask in
+    normal form.  Construct with any iterable of 2**n numbers, or through
+    :meth:`scalar`, :meth:`blade`, :meth:`basis_blade`, :meth:`from_terms`.
+    Every float-backed value is finite: construction, arithmetic and
+    :meth:`to_float` raise FloatRangeError where a coefficient would be inf
+    or nan, or too large for a float.
     """
 
-    __slots__ = ("sig", "coeffs", "_float")
+    __slots__ = ("sig", "_row", "_den", "_float")
 
     def __init__(self, sig: Signature, coeffs: Iterable[Scalar]):
         coeffs = tuple(coeffs)
@@ -449,31 +427,50 @@ class Multivector:
             raise ValueError(
                 f"expected {sig.dim} coefficients for {sig}, got {len(coeffs)}"
             )
-        if any(isinstance(c, float) for c in coeffs):
+        den = 1
+        is_float = any(isinstance(c, float) for c in coeffs)
+        if is_float:
             try:
-                coeffs = tuple(float(c) for c in coeffs)
-                finite = all(map(math.isfinite, coeffs))
+                row = tuple(float(c) for c in coeffs)
+                finite = all(map(math.isfinite, row))
             except OverflowError:
                 finite = False
             if not finite:
                 raise FloatRangeError("a float coefficient is outside the double "
                                       "range (inf, nan or too large)")
-            is_float = True
         else:
-            coeffs = tuple(_normalize_exact(c) for c in coeffs)
-            is_float = False
+            # The lcm of reduced denominators leaves gcd(row, den) = 1.
+            row = tuple(map(_normalize_exact, coeffs))
+            den = math.lcm(*(c.denominator for c in row))
+            if den != 1:
+                row = tuple(c.numerator * (den // c.denominator) for c in row)
+        self._fill(sig, row, den, is_float)
+
+    def _fill(self, sig, row, den, is_float) -> None:
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_float", is_float)
 
     @classmethod
-    def _raw(cls, sig: Signature, coeffs: tuple, is_float: bool) -> "Multivector":
-        # Internal: coefficients already in normal form.
+    def _raw(cls, sig: Signature, row: tuple, den: int, is_float: bool) -> "Multivector":
+        # Internal: a row and denominator already in normal form.
         mv = object.__new__(cls)
-        object.__setattr__(mv, "sig", sig)
-        object.__setattr__(mv, "coeffs", coeffs)
-        object.__setattr__(mv, "_float", is_float)
+        mv._fill(sig, row, den, is_float)
         return mv
+
+    @classmethod
+    def _from_row(cls, sig: Signature, row, den: int) -> "Multivector":
+        """Internal: the exact value row / den, for integers row and a nonzero
+        int den, reduced by one gcd and with the sign moved out of den."""
+        if den != 1:
+            g = math.gcd(den, *row)
+            if den < 0:
+                g = -g
+            if g != 1:
+                row = [c // g for c in row]
+                den //= g
+        return cls._raw(sig, tuple(row), den, False)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -522,30 +519,37 @@ class Multivector:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """One coefficient per blade mask: floats, or exact values in normal
+        form, an int when whole and else a Fraction.  Built on each access."""
+        den = self._den
+        if den == 1:
+            return self._row
+        return tuple(exact_ratio(c, den) for c in self._row)
+
+    @property
     def is_float(self) -> bool:
         return self._float
 
     def scalar_part(self) -> Scalar:
-        return self.coeffs[0]
+        c, den = self._row[0], self._den
+        return c if den == 1 else exact_ratio(c, den)
 
     def trace(self) -> Scalar:
         """Tr(U) = N * <U>_0."""
-        return self.sig.N * self.coeffs[0]
-
-    def _magnitude(self) -> float:
-        return max(abs(c) for c in self.coeffs)
+        return self.sig.N * self.scalar_part()
 
     def is_zero(self) -> bool:
         if self._float:
-            return all(close(c, 0.0) for c in self.coeffs)
-        return not any(self.coeffs)
+            return all(close(c, 0.0) for c in self._row)
+        return not any(self._row)
 
     def is_scalar(self) -> bool:
         """True when all grades >= 1 vanish (tolerance-scaled for floats)."""
-        rest = self.coeffs[1:]
+        rest = self._row[1:]
         if not self._float:
             return not any(rest)
-        scale = max(1.0, self._magnitude())
+        scale = max(1.0, *map(abs, self._row))
         return all(abs(c) <= max(ABS_TOL, REL_TOL * scale) for c in rest)
 
     # -- grade structure ---------------------------------------------------
@@ -556,17 +560,17 @@ class Multivector:
         if not 0 <= k <= sig.n:
             raise ValueError(f"grade {k} out of range for {sig}")
         z = 0.0 if self._float else 0
-        coeffs = tuple(
-            c if g == k else z for c, g in zip(self.coeffs, sig.grades)
-        )
-        return Multivector._raw(sig, coeffs, self._float)
+        row = [c if g == k else z for c, g in zip(self._row, sig.grades)]
+        if self._float:
+            return Multivector._raw(sig, tuple(row), 1, True)
+        return Multivector._from_row(sig, row, self._den)
 
     # -- conjugations ------------------------------------------------------
 
     def conjugate(self, conj: Conjugation) -> "Multivector":
         signs = self.sig.conjugation_signs(conj).tolist()
-        coeffs = tuple(c if s > 0 else -c for c, s in zip(self.coeffs, signs))
-        return Multivector._raw(self.sig, coeffs, self._float)
+        row = tuple(c if s > 0 else -c for c, s in zip(self._row, signs))
+        return Multivector._raw(self.sig, row, self._den, self._float)
 
     def grade_involution(self) -> "Multivector":
         return self.conjugate(GRADE_INVOLUTION)
@@ -589,51 +593,50 @@ class Multivector:
                 f"operands from different algebras: {self.sig} vs {other.sig}"
             )
 
-    def _result(self, coeffs, other_is_float: bool) -> "Multivector":
-        # Internal: coefficients computed from self and another operand.  A
-        # float result goes through __init__'s range check.  Exact operands
-        # are in normal form, so only a Fraction result can be whole.
-        if self._float or other_is_float:
-            return Multivector(self.sig, coeffs)
-        coeffs = tuple(coeffs)
-        if not all(type(c) is int for c in coeffs):
-            coeffs = tuple(map(_normalize_exact, coeffs))
-        return Multivector._raw(self.sig, coeffs, False)
+    def _combine(self, op, other):
+        # Internal: self + other or self - other.  A float result goes
+        # through __init__'s range check; exact rows meet over the lcm of
+        # their denominators.
+        if isinstance(other, (int, Fraction, float)):
+            other = Multivector.scalar(self.sig, other)
+        elif isinstance(other, Multivector):
+            self._check_sig(other)
+        else:
+            return NotImplemented
+        if self._float or other._float:
+            return Multivector(self.sig, map(op, self.to_float()._row, other.to_float()._row))
+        a, b = self._den, other._den
+        if a == b:
+            return Multivector._from_row(self.sig, list(map(op, self._row, other._row)), a)
+        den = math.lcm(a, b)
+        x, y = den // a, den // b
+        return Multivector._from_row(
+            self.sig, [op(c * x, d * y) for c, d in zip(self._row, other._row)], den)
 
     def __add__(self, other):
-        if isinstance(other, Multivector):
-            self._check_sig(other)
-            return self._result(map(add, self.coeffs, other.coeffs), other._float)
-        if isinstance(other, (int, Fraction, float)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + other
-            return self._result(coeffs, isinstance(other, float))
-        return NotImplemented
+        return self._combine(add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Multivector):
-            self._check_sig(other)
-            return self._result(map(sub, self.coeffs, other.coeffs), other._float)
-        if isinstance(other, (int, Fraction, float)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] - other
-            return self._result(coeffs, isinstance(other, float))
-        return NotImplemented
+        return self._combine(sub, other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
         return Multivector._raw(
-            self.sig, tuple(-c for c in self.coeffs), self._float
+            self.sig, tuple(-c for c in self._row), self._den, self._float
         )
 
     def _scale(self, s: Scalar) -> "Multivector":
         if type(s) is int and s == 1:
             return self
-        return self._result([s * c for c in self.coeffs], isinstance(s, float))
+        if self._float or isinstance(s, float):
+            return Multivector(self.sig, [s * c for c in self.to_float()._row])
+        num = s.numerator
+        return Multivector._from_row(self.sig, [num * c for c in self._row],
+                                     self._den * s.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -656,12 +659,11 @@ class Multivector:
         return NotImplemented
 
     def _geometric_product(self, other: "Multivector") -> "Multivector":
-        a, b = self.coeffs, other.coeffs
         # Scalar operands reduce to a scale; this also covers the identity.
-        if not any(a[1:]):
-            return other._scale(a[0])
-        if not any(b[1:]):
-            return self._scale(b[0])
+        if not any(self._row[1:]):
+            return other._scale(self.scalar_part())
+        if not any(other._row[1:]):
+            return self._scale(other.scalar_part())
         row, _, scale = _product(self.sig, *_slots((self, other)))
         return _to_multivector(self.sig, row[0], scale)
 
@@ -674,51 +676,53 @@ class Multivector:
             return NotImplemented
         self._check_sig(other)
         if self._float or other._float:
-            return all(map(close, self.coeffs, other.coeffs))
-        return self.coeffs == other.coeffs
+            return all(map(close, self.to_float()._row, other.to_float()._row))
+        return self._den == other._den and self._row == other._row
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
     # -- conversion and display --------------------------------------------
 
     def to_float(self) -> "Multivector":
-        """Float-backend copy.  An exact coefficient beyond the double range
-        raises FloatRangeError."""
+        """Float-backend copy, each coefficient row / den correctly rounded.
+        An exact coefficient beyond the double range raises FloatRangeError."""
         if self._float:
             return self
+        den = self._den
         try:
-            coeffs = tuple(map(float, self.coeffs))
+            row = tuple(c / den for c in self._row)
         except OverflowError:
             raise FloatRangeError("an exact coefficient is outside the float "
                                   "range (too large for a double)") from None
-        return Multivector._raw(self.sig, coeffs, True)
+        return Multivector._raw(self.sig, row, 1, True)
 
     def to_exact(self) -> "Multivector":
         """Exact-backend copy; floats convert to their exact binary value.
         An inf or nan coefficient has none and raises FloatRangeError."""
         if not self._float:
             return self
-        if not all(map(math.isfinite, self.coeffs)):
+        if not all(map(math.isfinite, self._row)):
             raise FloatRangeError("a float coefficient is outside the double "
                                   "range (inf or nan) and has no exact value")
-        return Multivector(self.sig, (Fraction(c) for c in self.coeffs))
+        return Multivector(self.sig, map(Fraction, self._row))
 
     def __str__(self) -> str:
         sig = self.sig
+        coeffs = self.coeffs
         order = sorted(range(sig.dim), key=lambda i: (sig.grades[i], i))
         parts: list[str] = []
         for i in order:
-            c = self.coeffs[i]
+            c = coeffs[i]
             if not c:
                 continue
             negative = c < 0
             mag = -c if negative else c
             if i == 0:
-                token = _format_scalar(mag)
+                token = str(mag)
             elif mag == 1 and not isinstance(mag, float):
                 token = sig.blade_name(i)
             else:
-                token = f"{_format_scalar(mag)}*{sig.blade_name(i)}"
+                token = f"{mag}*{sig.blade_name(i)}"
             if not parts:
                 parts.append(f"-{token}" if negative else token)
             else:
@@ -727,12 +731,6 @@ class Multivector:
 
     def __repr__(self) -> str:
         return f"<{self.sig} {self}>"
-
-
-def _format_scalar(c: Scalar) -> str:
-    if isinstance(c, float):
-        return repr(c)
-    return str(c)
 
 
 def random_multivector(
@@ -745,6 +743,6 @@ def random_multivector(
     backend) or uniform floats in [-9, 9] (float backend)."""
     if float_backend:
         coeffs = tuple(rng.uniform(-9.0, 9.0) for _ in range(sig.dim))
-        return Multivector._raw(sig, coeffs, True)
+        return Multivector._raw(sig, coeffs, 1, True)
     coeffs = tuple(rng.randint(-9, 9) for _ in range(sig.dim))
-    return Multivector._raw(sig, coeffs, False)
+    return Multivector._raw(sig, coeffs, 1, False)

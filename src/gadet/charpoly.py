@@ -18,9 +18,9 @@ it also yields the adjugate as C(N-1)*e - U(N-1).
 
 The recursion runs on a slot (stack, top, scale) of ``algebra``: a stack
 of rows at once (one row for ``det_fl`` and friends, N + 1 samples for
-``charpoly_interp``), never fractions.  An exact input is scaled once,
-U = V/D with D = ``common_denominator(U)``, the slot's scale, and V an
-integer vector.  Ck and Uk are homogeneous of degree k in U, so
+``charpoly_interp``), never fractions.  An exact input enters as U = V/D,
+the integer row V and denominator D that it stores, D the slot's scale.
+Ck and Uk are homogeneous of degree k in U, so
 
     Ck(U) = Ck(V) / D**k,    Adj(U) = (C(N-1)(V)*e - V(N-1)) / D**(N-1),
 
@@ -85,7 +85,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (Multivector, Scalar, Signature, _in_double_range, _int_dtype,
-                      _integer_row, _max_abs, _normalize_exact, _slots, _to_multivector,
+                      _max_abs, _normalize_exact, _slots, _to_multivector,
                       close, exact_ratio)
 from .errors import ConsistencyError, FloatRangeError, NotInvertibleError
 
@@ -429,7 +429,8 @@ def charpoly_interp(u: Multivector) -> CharPoly:
     """
     sig = u.sig
     N = sig.N
-    v, d = _integer_row(u)
+    exact = u.to_exact()
+    v, d = exact._row, exact._den
     rows = [[x * d - v[0]] + [-c for c in v[1:]] for x in range(N + 1)]
     poly = _newton_interpolate(_sample_dets(sig, rows))
     scale = d ** N

@@ -26,8 +26,8 @@ go through ``algebra``'s one stack kernel, which multiplies the scales, and
 a conjugation multiplies the stack by the cached sign vector.  Weights are
 scaled to integers; the caller divides once by the scale it receives.
 
-An exact input is scaled to integers once, U = V/D.  A term uses each slot
-once, so a term of k slots has scale D**k: X(U) = X(V)/D**k and
+An exact input enters as the integer row it stores, U = V/D.  A term uses
+each slot once, so a term of k slots has scale D**k: X(U) = X(V)/D**k and
 Det(U) = F(V, ..., V)/(den * D**N), den the weights' common denominator;
 separate slot values Vi/Di give D1 * ... * DN.  Scalarity is checked on
 the integer row before anything is divided, so only the scalar part becomes
@@ -40,6 +40,7 @@ the double range.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +65,6 @@ from .algebra import (
     _slots,
     _to_multivector,
     charpoly_degree,
-    common_denominator,
     delta,
     exact_ratio,
 )
@@ -313,7 +313,7 @@ def evaluate_terms(sig, terms: Sequence[FormulaTerm], slots: Sequence[tuple]):
     slots (stack, top, scale) of ``algebra``.  Every term uses each slot
     once, so all terms share one scale; the returned scale is that times the
     weights' common denominator."""
-    den = common_denominator(term.weight for term in terms)
+    den = math.lcm(*(term.weight.denominator for term in terms))
     weighted = [(int(term.weight * den), _eval_node(sig, term.tree, slots))
                 for term in terms]
     scale = den * weighted[0][1][2]

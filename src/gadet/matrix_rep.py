@@ -9,9 +9,9 @@ exact in complex128 and in integers.
 Each signature caches one integer table: every blade matrix X in real form
 [[re X, -im X], [im X, re X]], flattened to one row per blade and stored as
 int8.  beta(u) in real form is one contraction of u's coefficient row
-against the table.  An exact u is first scaled to integers, V = D*u with D
-the common denominator of its coefficients; the contraction runs in int64
-when max|V| * 2**n < 2**63 and in object dtype (Python ints) otherwise.  A
+against the table.  An exact u is contracted as the integer row V that it
+stores over its denominator D, u = V/D; the contraction runs in int64 when
+max|V| * 2**n < 2**63 and in object dtype (Python ints) otherwise.  A
 float u is contracted as it is.
 
 The exact determinant runs Bareiss elimination over Gaussian integers on
@@ -37,7 +37,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .algebra import (EIGEN_RECON_TOL, REAL_TOL, Multivector, Scalar, Signature,
-                      _int_dtype, common_denominator, exact_ratio)
+                      _int_dtype, exact_ratio)
 from .charpoly import CharPoly
 from .errors import ConsistencyError, FloatRangeError, NonConvergenceError
 
@@ -167,19 +167,17 @@ def build_representation(sig: Signature) -> Representation:
 
 
 def _beta(u: Multivector) -> tuple[np.ndarray, int]:
-    """(B, D): B the 2N x 2N real form of D*beta(u), with D the common
-    denominator of u's coefficients for an exact u and 1 for a float u."""
+    """(B, D): B the 2N x 2N real form of D*beta(u), with u = V/D as an
+    exact u stores it (B is beta(V)), and D = 1 for a float u."""
     sig = u.sig
     table = build_representation(sig).table
     size = 2 * sig.N
     if u.is_float:
         # einsum, not matmul: a float matmul this wide goes through BLAS.
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.einsum("a,ax->x", np.array(u.coeffs), table).reshape(size, size), 1
-    den = common_denominator(u.coeffs)
-    row = [c.numerator * (den // c.denominator) for c in u.coeffs]
-    dtype = _int_dtype(max(map(abs, row)) << sig.n)
-    return (np.array(row, dtype) @ table).reshape(size, size), den
+            return np.einsum("a,ax->x", np.array(u._row), table).reshape(size, size), 1
+    dtype = _int_dtype(max(map(abs, u._row)) << sig.n)
+    return (np.array(u._row, dtype) @ table).reshape(size, size), u._den
 
 
 def represent(u: Multivector) -> Matrix:

@@ -14,9 +14,9 @@ them off it.  C(N), the single all-U tuple, is the determinant formula
 itself: ``vieta_coefficient(f, u, N)`` is -Det(U) by ``evaluate_det``, and
 the CLI has no separate Vieta determinant route.
 
-Each slot is a stack of two rows, [e, V], with U = V/D scaled to integers
-once: e + tV = e + (tD)U, so the t**k coefficient of F(e + tV, ..., e + tV)
-is X(k)(V), and
+Each slot is a stack of two rows, [e, V], with U = V/D the integer row and
+denominator that U stores: e + tV = e + (tD)U, so the t**k coefficient of
+F(e + tV, ..., e + tV) is X(k)(V), and
 
     X(k)(U) = X(k)(V) / D**k.
 

@@ -89,8 +89,9 @@ def product_by_definition(u, v):
     pair (i, j) of u_i * v_j * sign(i, j) on blade i ^ j, one term at a time."""
     sig = u.sig
     coeffs = [0] * sig.dim
+    v_coeffs = v.coeffs
     for i, a in enumerate(u.coeffs):
-        for j, b in enumerate(v.coeffs):
+        for j, b in enumerate(v_coeffs):
             k, sign = sig._blade_product(i, j)
             coeffs[k] += sign * a * b
     return Multivector(sig, coeffs)

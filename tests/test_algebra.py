@@ -18,9 +18,12 @@ from gadet import (
     SignatureMismatchError,
     close,
     delta,
+    inverse,
     random_multivector,
 )
-from helpers import SIGNATURES, product_by_definition, random_mvs
+from gadet.algebra import _grade_sign
+from gadet.cli import parse_multivector
+from helpers import SIGNATURES, product_by_definition, random_mvs, same_typed
 
 
 def test_signature_derived_quantities():
@@ -118,6 +121,104 @@ def test_exact_arithmetic_keeps_normal_form():
             assert all(type(c) is int for c in value.coeffs), value.coeffs
         assert (halves + halves).coeffs == tuple(2 * c for c in halves.coeffs)
         assert (3 * third).coeffs == (1,) + (3,) * (sig.dim - 1)
+
+
+def _assert_lowest_terms(value):
+    row, den = value._row, value._den
+    assert den > 0 and math.gcd(den, *row) == 1, (row, den)
+    if not any(row):
+        assert den == 1
+
+
+def test_exact_storage_is_one_row_over_one_denominator_in_lowest_terms():
+    s = Signature(2, 0)
+    e1, e2 = Multivector.blade(s, 1), Multivector.blade(s, 2)
+    half_e1 = Multivector(s, (0, Fraction(1, 2), 0, 0))
+    u = Multivector(s, (0, Fraction(1, 2), Fraction(1, 3), 0))
+    v = Multivector(s, (Fraction(2, 4), Fraction(-1, 6), 3, Fraction(5, 10)))
+    inv = inverse(u)
+    assert inv == Multivector(s, (0, Fraction(18, 13), Fraction(12, 13), 0))  # Det = -13/36
+    values = [
+        v, inv,
+        Multivector(s, (0, Fraction(1, 6), 0, 0)) + Multivector(s, (0, Fraction(1, 3), 0, 0)),
+        (half_e1 + Fraction(1, 2)) + (Fraction(1, 2) - half_e1),
+        half_e1 - (-half_e1),
+        Multivector(s, (0, Fraction(3, 2), 0, 0)) * Fraction(-2, 3),
+        Fraction(-4, 6) * Multivector(s, (0, Fraction(3, 2), Fraction(3, 4), 0)),
+        half_e1 / Fraction(-1, 2), u / -2, u / Fraction(1, 6),
+        # (1/2 e1 + 1/2 e2)(2 e1 - 2 e2) = -2 e12: the kernel's row over 2 reduces.
+        Multivector(s, (0, Fraction(1, 2), Fraction(1, 2), 0)) * Multivector(s, (0, 2, -2, 0)),
+        u * u, u * v, v * u, u - u, u * 0, v.grade(2) - v.grade(2),
+        Multivector(s, (Fraction(0, 3),) * 4), s.zero,
+    ]
+    for value in values:
+        _assert_lowest_terms(value)
+    assert values[2] == half_e1 and values[3] == 1 and values[4] == e1
+    assert values[10] == Multivector.blade(s, 1, 2, coeff=-2)
+    # The same value spelled with unreduced and reduced fractions.
+    assert parse_multivector("2/4 + 3/6*e1 + 4/8*e12", s) == Multivector(
+        s, (Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)))
+    assert v == parse_multivector("1/2 - 1/6*e1 + 3*e2 + 1/2*e12", s)
+    # A grade of a value with a denominator may be whole.
+    projected = (Fraction(1, 2) + e1).grade(1)
+    _assert_lowest_terms(projected)
+    assert projected == e1 and projected._den == 1
+    assert all(type(c) is int for c in projected.coeffs)
+    assert (u - u)._den == 1 and (u - u).coeffs == (0, 0, 0, 0)
+    assert (u + e2).conjugate(delta(1))._den == 6
+    # to_float is row / den correctly rounded, which is float(Fraction).
+    big = Fraction(2 ** 70 + 1, 3)
+    expected = (float(big), -float(big), 1.0, 0.0)
+    assert Multivector(s, (big, -big, 1, 0)).to_float().coeffs == expected
+    for huge in (10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(FloatRangeError):
+            Multivector.scalar(s, huge).to_float()
+
+
+def _draw(kind: str, r: random.Random):
+    if kind == "int":
+        return r.randint(-9, 9)
+    if kind == "rational":
+        return Fraction(r.randint(-9, 9), r.randint(1, 9))
+    if kind == "1e12":
+        return r.choice((-1, 1)) * 10 ** 12
+    return Fraction(r.randint(-9, 9) * 2 ** 70, 3)
+
+
+def _normal(values) -> tuple:
+    return tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, values))
+
+
+def test_exact_results_keep_their_value_and_type_on_every_signature():
+    # References use plain Fraction arithmetic, and the product its
+    # definition, never the row kernels; same_typed keeps ints apart from
+    # whole Fractions.
+    r = random.Random(22)
+    for sig in SIGNATURES:
+        for kind in ("int", "rational", "1e12", "2**70/3"):
+            a = [_draw(kind, r) for _ in range(sig.dim)]
+            b = [_draw(kind, r) for _ in range(sig.dim)]
+            s = _draw(kind, r) or 1
+            u, v = Multivector(sig, a), Multivector(sig, b)
+            fa, fb = list(map(Fraction, a)), list(map(Fraction, b))
+            assert same_typed(u.coeffs, _normal(a))
+            assert same_typed((u * v).coeffs, product_by_definition(u, v).coeffs)
+            assert same_typed((u + v).coeffs, _normal(x + y for x, y in zip(fa, fb)))
+            assert same_typed((u - v).coeffs, _normal(x - y for x, y in zip(fa, fb)))
+            assert same_typed((u + s).coeffs, _normal([fa[0] + s] + fa[1:]))
+            assert same_typed((u * s).coeffs, _normal(x * s for x in fa))
+            assert same_typed((s * u).coeffs, _normal(x * s for x in fa))
+            assert same_typed((u / s).coeffs, _normal(x / s for x in fa))
+            assert same_typed((-u).coeffs, _normal(-x for x in fa))
+            for conj in sig.available_conjugations():
+                signs = [_grade_sign(conj, g) for g in sig.grades]
+                assert same_typed(u.conjugate(conj).coeffs,
+                                  _normal(c * x for c, x in zip(signs, fa)))
+            for k in range(sig.n + 1):
+                assert same_typed(u.grade(k).coeffs,
+                                  _normal(x if g == k else 0 for g, x in zip(sig.grades, fa)))
+            for value in (u * v, u + v, u - v, u * s, u / s, u.grade(sig.n)):
+                _assert_lowest_terms(value)
 
 
 def test_signature_mismatch_raises():

@@ -179,7 +179,7 @@ def test_charpoly_interp_float_range():
     s = Signature(2, 0)
     for bad in (math.inf, math.nan):
         # _raw skips the constructor's own check, so interp's guard is hit.
-        u = Multivector._raw(s, (1.0, bad, 0.0, 0.0), True)
+        u = Multivector._raw(s, (1.0, bad, 0.0, 0.0), 1, True)
         with pytest.raises(FloatRangeError):
             charpoly_interp(u)
     # 1e200 + e1 has Det 1e400: every route leaves the double range.
@@ -283,7 +283,7 @@ def test_scaled_recursion_is_exact_across_the_int64_guard():
         inputs.append(Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
                                         for _ in range(sig.dim))))
         for i, u in enumerate(inputs):
-            v, d = charpoly._integer_row(u)
+            v, d = u._row, u._den
             v_max = max(map(abs, v))
             if i < 3 and sig.n == 6:
                 assert v_max ** 2 << sig.n < 2 ** 63 <= abs(det_fl(u)) * d ** sig.N

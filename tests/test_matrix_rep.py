@@ -192,11 +192,11 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
         raise AssertionError("the matrix oracle must not use the geometric product")
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
-    # The product table's gather, the integer scaling, the stack product
-    # kernel, the float range check, fl's stack kernel and its modular
-    # route, and the term-tree evaluator.
+    # The product table's gather, the stack product kernel, the float range
+    # check, fl's stack kernel and its modular route, and the term-tree
+    # evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
-    forbid(monkeypatch, (algebra._integer_row, algebra._slots, algebra._product,
+    forbid(monkeypatch, (algebra._slots, algebra._product,
                          algebra._in_double_range, charpoly._fl_stack,
                          charpoly._fl_modular, formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
