@@ -160,6 +160,7 @@ class Signature:
 
     __slots__ = (
         "p", "q", "n", "N", "m", "dim", "eta", "grades",
+        "_blade_names", "_blade_masks", "_grade_order",
         "_gather", "_square_signs", "_conjugations", "_identity", "_zero",
     )
 
@@ -186,6 +187,14 @@ class Signature:
         self.dim = 1 << n
         self.eta = (1,) * p + (-1,) * q
         self.grades = tuple(i.bit_count() for i in range(self.dim))
+        # Blade tokens both ways, and the print order: by grade, then mask.
+        self._blade_names = ("1",) + tuple(
+            "e" + "".join(str(a + 1) for a in range(n) if bits >> a & 1)
+            for bits in range(1, self.dim))
+        self._blade_masks = {name: bits for bits, name in enumerate(self._blade_names)
+                             if bits}
+        self._grade_order = tuple(sorted(range(self.dim),
+                                         key=lambda i: (self.grades[i], i)))
         # The product table (see the module docstring): index i^k into
         # [b, -b], shifted into the negated half where sign[i, k] < 0.
         xor = np.arange(self.dim)[:, None] ^ np.arange(self.dim)
@@ -249,9 +258,7 @@ class Signature:
 
     def blade_name(self, bits: int) -> str:
         """Canonical blade token, e.g. 0b110 -> 'e23'; the scalar blade is '1'."""
-        if bits == 0:
-            return "1"
-        return "e" + "".join(str(a + 1) for a in range(self.n) if bits >> a & 1)
+        return self._blade_names[bits]
 
     @property
     def identity(self) -> "Multivector":
@@ -707,11 +714,10 @@ class Multivector:
         return Multivector(self.sig, map(Fraction, self._row))
 
     def __str__(self) -> str:
-        sig = self.sig
         coeffs = self.coeffs
-        order = sorted(range(sig.dim), key=lambda i: (sig.grades[i], i))
+        names = self.sig._blade_names
         parts: list[str] = []
-        for i in order:
+        for i in self.sig._grade_order:
             c = coeffs[i]
             if not c:
                 continue
@@ -720,9 +726,9 @@ class Multivector:
             if i == 0:
                 token = str(mag)
             elif mag == 1 and not isinstance(mag, float):
-                token = sig.blade_name(i)
+                token = names[i]
             else:
-                token = f"{mag}*{sig.blade_name(i)}"
+                token = f"{mag}*{names[i]}"
             if not parts:
                 parts.append(f"-{token}" if negative else token)
             else:

@@ -14,6 +14,7 @@ Multivector expression grammar::
     decimal := digits '.' digits ['e' sign digits] | digits 'e' sign digits
 
 Numbers parse to exact rationals; decimals keep their exact decimal value.
+They are summed exactly, as integer numerators over one running denominator.
 A bare exponent requires an explicit sign so that '2e1' stays 2 * e_1.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import re
@@ -89,36 +91,56 @@ def _expected(what: str, text: str, pos: int) -> ParseError:
 
 
 def parse_multivector(text: str, sig: Signature) -> Multivector:
-    """Parse the grammar above into an exact-backend multivector."""
+    """Parse the grammar above into an exact-backend multivector.
+
+    The terms are summed exactly as integer numerators over one running
+    denominator, the lcm of the denominators read so far, and the sum is
+    reduced once at the end."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    coeffs = [0] * sig.dim
+    masks = sig._blade_masks
+    row = [0] * sig.dim
+    den = 1
     pos = 0
+    match = _TERM.match
     while pos < len(text):
-        m = _TERM.match(text, pos)
-        sign, number, star, blade = m["sign"], m["number"], m["star"], m["blade"]
+        m = match(text, pos)
+        sign, number, num, num_den, star, blade = m.groups()
         if pos and not sign:
             raise _expected("'+' or '-' between terms", text, pos)
         if not (number or blade):
             if sign and m.end() == len(text):
                 raise ParseError("dangling sign", m.start("sign"))
             raise _expected("a number or blade", text, m.end())
-        coeff = 1
-        if m["den"]:
-            den = int(m["den"])
-            if not den:
-                raise ParseError(f"zero denominator in {number!r}")
-            coeff = Fraction(int(m["int"]), den)
-        elif m["int"]:
-            coeff = int(number)
+        # The term's coefficient is num / b with b >= 1.
+        b = 1
+        if num_den:
+            b = int(num_den)
+            if not b:
+                raise ParseError(f"zero denominator in {number!r}", m.start("number"))
+            num = int(num)
+        elif num:
+            num = int(num)
         elif number:
-            coeff = Fraction(number)  # a decimal, at its exact value
+            value = Fraction(number)  # a decimal, at its exact value
+            num, b = value.numerator, value.denominator
+        else:
+            num = 1
         if star and not blade:
             raise ParseError("expected blade after '*'", m.start("star"))
-        bits = _blade_bits(blade, m.start("blade"), sig) if blade else 0
-        coeffs[bits] += -coeff if sign == "-" else coeff
+        bits = 0
+        if blade:
+            bits = masks.get(blade)
+            if bits is None:  # not a blade of sig: raise why
+                bits = _blade_bits(blade, m.start("blade"), sig)
+        if den % b:  # rescale the row once, to the new lcm
+            k = b // math.gcd(den, b)
+            row = [c * k for c in row]
+            den *= k
+        num *= den // b
+        row[bits] += -num if sign == "-" else num
         pos = m.end()
-    return Multivector(sig, coeffs)
+    return Multivector._from_row(sig, row, den)
 
 
 # ---------------------------------------------------------------------------

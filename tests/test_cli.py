@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -81,42 +82,47 @@ def test_parse_repeated_terms_accumulate():
     assert parse_multivector("e1 + e1", s) == Multivector(s, (0, 2, 0, 0))
 
 
-# Every rejected input, with the offset of the token it is rejected at.
+# Every rejected input, with the offset of the token it is rejected at and
+# the message before the offset.
 _REJECTED = [
-    ("e21", 0),  # descending indices
-    ("e11", 0),  # repeated index
-    ("e3", 0),  # out of range
-    ("e0", 0),
-    ("1 + + 2", 4),
-    ("2 *", 2),
-    ("", 0),
-    (" ", 0),
-    ("1 ? 2", 2),
-    ("1 + $", 4),
-    ("+ + 2", 2),
-    ("1 2", 2),
-    ("e1e2", 2),
-    ("3 * 4", 2),
-    ("* e1", 0),
-    ("-", 0),
-    ("1 -", 2),
-    ("1/2/3", 3),
-    ("e1 *", 3),
-    ("2 * * e1", 2),
-    ("1e", 1),
-    ("e", 0),
-    ("1.", 1),
-    ("1.5e3", 3),  # 1.5 times e3, and e3 is out of range
-    ("1/0", None),
+    ("e21", 0, "blade indices must be strictly ascending in 'e21'"),
+    ("e11", 0, "blade indices must be strictly ascending in 'e11'"),
+    ("e3", 0, "generator index 3 out of range for G(2,0)"),
+    ("e0", 0, "generator index 0 out of range for G(2,0)"),
+    ("1 + + 2", 4, "expected a number or blade, found '+'"),
+    ("2 *", 2, "expected blade after '*'"),
+    ("", 0, "empty expression"),
+    (" ", 0, "empty expression"),
+    ("1 ? 2", 2, "expected '+' or '-' between terms, found '?'"),
+    ("1 + $", 4, "expected a number or blade, found '$'"),
+    ("+ + 2", 2, "expected a number or blade, found '+'"),
+    ("1 2", 2, "expected '+' or '-' between terms, found '2'"),
+    ("e1e2", 2, "expected '+' or '-' between terms, found 'e'"),
+    ("3 * 4", 2, "expected blade after '*'"),
+    ("* e1", 0, "expected a number or blade, found '*'"),
+    ("-", 0, "dangling sign"),
+    ("1 -", 2, "dangling sign"),
+    ("1/2/3", 3, "expected '+' or '-' between terms, found '/'"),
+    ("e1 *", 3, "expected '+' or '-' between terms, found '*'"),
+    ("2 * * e1", 2, "expected blade after '*'"),
+    ("1e", 1, "expected '+' or '-' between terms, found 'e'"),
+    ("e", 0, "expected a number or blade, found 'e'"),
+    ("1.", 1, "expected '+' or '-' between terms, found '.'"),
+    ("1.5e3", 3, "generator index 3 out of range for G(2,0)"),  # 1.5 times e3
+    ("e12 + e02", 6, "generator index 0 out of range for G(2,0)"),
+    ("1/0", 0, "zero denominator in '1/0'"),
+    ("1 + 3/0", 4, "zero denominator in '3/0'"),
+    ("1/0*e3", 0, "zero denominator in '1/0'"),  # the number is read first
 ]
 
 
 def test_parse_errors():
     s = Signature(2, 0)
-    for text, position in _REJECTED:
+    for text, position, message in _REJECTED:
         with pytest.raises(ParseError) as err:
             parse_multivector(text, s)
         assert err.value.position == position, text
+        assert str(err.value) == f"{message} (at position {position})", text
     # Near misses that are accepted.
     assert parse_multivector("5 e1", s).coeffs == (0, 5, 0, 0)
     assert parse_multivector("2e1", s).coeffs == (0, 2, 0, 0)
@@ -160,6 +166,84 @@ def test_parse_query_exact_requests_keeps_values_and_types():
     for req in requests:
         expected = Multivector(req.sig, req.coeffs).coeffs
         assert _coefficients(req.text, req.sig) == (expected, tuple(map(type, expected)))
+
+
+def _random_number(rng: random.Random) -> tuple[str, Fraction]:
+    """A number token and its value, worked out without parsing the token:
+    an integer, a/b or a decimal, with numerators up to 2**70."""
+    kind = rng.randrange(4)
+    a = rng.choice((rng.randint(0, 12), 2**70 + rng.randint(-3, 3)))
+    if kind == 0:
+        return str(a), Fraction(a)
+    if kind == 1:
+        b = rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 2**70))
+        return f"{a}/{b}", Fraction(a, b)
+    digits = rng.randint(1, 3)
+    mantissa = rng.randint(0, 10**(digits + 1))
+    whole, frac = divmod(mantissa, 10**digits)
+    decimal = f"{whole}.{frac:0{digits}d}"
+    value = Fraction(mantissa, 10**digits)
+    if kind == 2:
+        return decimal, value
+    exponent = rng.randint(-4, 4)
+    scale = Fraction(10)**exponent
+    if rng.random() < 0.5:
+        return f"{decimal}e{exponent:+d}", value * scale
+    return f"{mantissa}E{exponent:+d}", mantissa * scale
+
+
+def test_parse_sums_match_a_fraction_reference_on_every_signature():
+    # Random expressions: shuffled terms, mixed denominators that force the
+    # running denominator to grow mid-expression, decimals with exponents,
+    # numerators up to 2**70, and blades repeated with the opposite sign so
+    # that some cancel to 0.  The reference sums Fractions per blade.
+    rng = random.Random(23)
+    for sig in gadet.all_signatures():
+        for _ in range(12):
+            terms = []
+            for _ in range(rng.randint(1, sig.dim + 2)):
+                bits = rng.randrange(sig.dim)
+                token, value = _random_number(rng)
+                terms.append((rng.choice("+-"), token, value, bits))
+            for sign, token, value, bits in terms[:rng.randint(0, len(terms))]:
+                # The same value again, spelled b-fold, with the other sign.
+                b = rng.randint(2, 5)
+                terms.append(("-" if sign == "+" else "+",
+                              f"{value.numerator * b}/{value.denominator * b}", value, bits))
+            rng.shuffle(terms)
+            reference = [Fraction(0)] * sig.dim
+            text = ""
+            for i, (sign, token, value, bits) in enumerate(terms):
+                reference[bits] += value if sign == "+" else -value
+                if bits:
+                    if value == 1 and rng.random() < 0.3:
+                        token = sig.blade_name(bits)
+                    else:
+                        token += rng.choice(("*", " * ", " ")) + sig.blade_name(bits)
+                lead = rng.choice(("", sign)) if sign == "+" else sign
+                text += (lead if i == 0 else f" {sign} ") + token
+            expected = tuple(c.numerator if c.denominator == 1 else c for c in reference)
+            u = parse_multivector(text, sig)
+            assert _coefficients(text, sig) == (expected, tuple(map(type, expected))), text
+            assert u._den > 0 and math.gcd(u._den, *u._row) == 1, text
+
+
+def test_parse_builds_no_fraction_for_integers_and_ratios(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("the parser built a Fraction")
+
+    monkeypatch.setattr(gadet.cli, "Fraction", no_fraction)
+    s = Signature(3, 0)
+    for text, terms in [("7", {0: 7}),
+                        (f"-2*e1 + 3e23 - e123 + {2**70}", {1: -2, 6: 3, 7: -1, 0: 2**70}),
+                        ("1/2 + 1/3*e1 - 5/6*e1 + 4/8*e12 + 1/6",
+                         {0: Fraction(2, 3), 1: Fraction(-1, 2), 3: Fraction(1, 2)}),
+                        ("3/7*e2 - 3/7*e2", {})]:
+        u = parse_multivector(text, s)
+        expected = Multivector.from_terms(s, terms).coeffs
+        assert u.coeffs == expected and list(map(type, u.coeffs)) == list(map(type, expected))
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        parse_multivector("0.5", s)
 
 
 def test_print_parse_round_trip():
