@@ -50,6 +50,25 @@ leaves [-(2**63 - 1), 2**63 - 1].  For two multivectors (d_L = d_R = 0) it
 reads max|a| * max|b| * 2**n < 2**63.  Every integer kernel of the package
 picks its dtype from such a bound with :func:`_int_dtype`.
 
+Below 2**53 an integer contraction may run on a float64 carrier instead
+(Dumas, Giorgi & Pernet, *ACM TOMS* 35(3), 2008).  Every integer of
+magnitude at most 2**53 is a double, so a float64 contraction whose every
+product and partial sum stays under the bound is exact in any summation
+order, fused multiply-adds included; the kernel returns its result to
+int64, so a float64 row still means the float backend to every reader.
+numpy's float64 matmul runs on BLAS and its int64 matmul does not, but the
+carrier pays two conversions, so it is taken only for at least 4096
+multiplies: la * lb * 4**n for stacks of la and lb rows, B * 4**n for a
+step of the trace recursion on B rows.  Timed per contraction on a 2-vCPU
+x86-64 VM (numpy 2.4, OpenBLAS 0.3.31), int64 -> float64 with the
+conversions, in us: at n = 6, (5, 5) rows 79-87 -> 31 and a B = 9 step
+19-27 -> 3.9, a (1, 1) product 8.1-8.5 -> 7.5-7.7; at 4096 multiplies
+otherwise, n = 5 (2, 2) 8.9-9.3 -> 8.4-8.5 and n = 4 (4, 4) 10.2 -> 9.8;
+below the gate, n = 5 (1, 1) 4.0 -> 4.7-4.9 and a B = 1 step 1.3 -> 1.6.
+Stacks have at most 9 rows (degree N <= 8), so every carrier BLAS call is
+at most (9, 64) @ (64, 64), below the 64 x 64 x 64 products on which
+threaded OpenBLAS has been seen to stall on a 2-vCPU VM.
+
 An exact multivector is one integer row over one positive denominator in
 lowest terms, so two exact values are equal iff their rows and denominators
 are (Knuth, *TAOCP* vol. 2, 4.5.1).  Exact arithmetic reduces once, in
@@ -305,11 +324,22 @@ def _normalize_exact(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _int_dtype(bound: int):
+#: The fewest multiplies for which an integer contraction under 2**53 runs
+#: on the float64 carrier (module docstring).
+_CARRIER_MIN_MULTIPLIES = 4096
+
+
+def _int_dtype(bound: int, multiplies: int = 0):
     """The dtype of an integer kernel whose every intermediate is at most
-    ``bound`` in magnitude: int64 when bound < 2**63, else object (Python
-    ints, which cannot overflow)."""
-    return np.int64 if bound < 1 << 63 else object
+    ``bound`` in magnitude: float64 when bound < 2**53 and the kernel does at
+    least ``_CARRIER_MIN_MULTIPLIES`` multiplies (the caller returns the
+    result to int64), int64 when bound < 2**63, else object (Python ints,
+    which cannot overflow)."""
+    if bound >= 1 << 63:
+        return object
+    if bound < 1 << 53 and multiplies >= _CARRIER_MIN_MULTIPLIES:
+        return np.float64
+    return np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +387,15 @@ def _product(sig: Signature, left: tuple, right: tuple) -> tuple:
     scale = a_scale * b_scale
     if a_top is None:
         return _in_double_range("a float geometric product", _contract, sig, a, b), None, scale
-    # The int64 bound of the module docstring.  The tops may be loose:
-    # tighten them before leaving int64.
+    # The bound of the module docstring.  The tops may be loose: tighten
+    # them before leaving the float64 carrier's range.
     pairs = min(len(a), len(b)) << sig.n
     bound = a_top * b_top * pairs
-    if bound >= 1 << 63:
+    if bound >= 1 << 53:
         bound = _max_abs(a) * _max_abs(b) * pairs
-    dtype = _int_dtype(bound)
-    return (_contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False)),
-            bound, scale)
+    dtype = _int_dtype(bound, len(a) * len(b) << 2 * sig.n)
+    out = _contract(sig, a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+    return out.astype(np.int64) if dtype is np.float64 else out, bound, scale
 
 
 def _in_double_range(what: str, compute, *args) -> np.ndarray:

@@ -31,9 +31,18 @@ matrix beta(V) of the matrix representation, and it is real.  So every
 step stays in ints; a Ck that is not an integer is an error
 (ConsistencyError), never a silent fall back to fractions.  Each step runs
 in int64 under the product's bound from the ``algebra`` docstring,
-max|Uk - Ck| * max|V| * 2**n < 2**63, and in object dtype otherwise.
+max|Uk - Ck| * max|V| * 2**n < 2**63, on its float64 carrier below 2**53
+when the step does at least 4096 multiplies, and in object dtype otherwise.
 Float rows run the same loop in float64, each step range-checked by
 ``algebra``'s one float check.
+
+The rows of a stack share one right factor.  ``charpoly_interp`` samples
+Det(x*D*e - V) at x = 0..N, so its rows are s*e + V' with V' = -V and
+s = x*D, and each step is (Uk - Ck) * (s*e + V') = s*(Uk - Ck) +
+(Uk - Ck) * V': one gather of V' and one matmul for the whole stack, not
+one of each per row.  With top >= max|V'| and top >= |s + V'_0| over the
+rows, |s| <= 2 * top, so both parts, and their sum, stay under the bound
+above with max|V| read as top.
 
 Past int64, the modular route (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, 3rd ed., ch. 5).  At n >= 5, the first step whose bound leaves
@@ -255,11 +264,12 @@ def _fl_modular(sig: Signature, v: np.ndarray, w: np.ndarray, col: list, k: int,
     return coeffs, np.array(values[(N - k) * B:], object).reshape(B, sig.dim)
 
 
-def _fl_stack(sig: Signature, slot: tuple):
-    """The recursion on a slot (stack, top, scale) of ``algebra._slots``:
-    B rows, each the coefficients of one multivector V, in float64 when top
-    is None, else integers with top >= max|V|.  Returns ([C1 of each row,
-    ..., CN of each row], W) with W the (B, 2**n) array of
+def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
+    """The recursion on B rows s*e + V at once: V the one row of a slot
+    (stack, top, scale) of ``algebra._slots``, in float64 when top is None,
+    else integers, and s each integer of ``shifts`` (one row, s = 0, when
+    None), with top >= max|V| and top >= |s + V_0|.  Returns ([C1 of each
+    row, ..., CN of each row], W) with W the (B, 2**n) array of
     V(N-1) - C(N-1)*e, the negated adjugate.  The recursion is not a product
     of slots, so the caller divides Ck(V) by its own scale**k.  Where an
     integer step first leaves int64 with a product step still to come, the
@@ -268,7 +278,9 @@ def _fl_stack(sig: Signature, slot: tuple):
     v, top, _ = slot
     N = sig.N
     coeffs = []
-    right = {}  # dtype -> R with w @ R[r] = w * V[r], row by row
+    # carrier dtype -> R with w @ R = w * V; each row of w times its own row
+    # s*e + V is then s*w + w @ R.
+    right = {}
     penult = None
     modular = sig.n >= _MODULAR_MIN_N
 
@@ -278,6 +290,7 @@ def _fl_stack(sig: Signature, slot: tuple):
         if top is None:
             ck = (N / k) * w[:, 0]
             col, dtype = w[:, 0] - ck, w.dtype
+            carrier = dtype
             ck = ck.tolist()
         else:
             sp = w[:, 0].tolist()
@@ -289,30 +302,44 @@ def _fl_stack(sig: Signature, slot: tuple):
                         f"C{k} = {N * s}/{k} of an integer row is not an integer")
                 ck.append(c)
             col = [s - c for s, c in zip(sp, ck)]
-            # The int64 bound of the algebra module docstring, for the
-            # product or the dot product below.
-            dtype = _int_dtype(max(1, _max_abs(w), *map(abs, col)) * top << sig.n)
+            # The product bound of the algebra module docstring, for the
+            # product or the dot product below; s*w and w * V each stay
+            # under it (module docstring).
+            bound = max(1, _max_abs(w), *map(abs, col)) * top << sig.n
+            carrier = _int_dtype(bound, len(w) << (sig.n if k == N - 1 else 2 * sig.n))
+            dtype = np.int64 if carrier is np.float64 else carrier
         coeffs.append(ck)
         if dtype is object and modular and k < N - 1:
             modular = False
-            count = _prime_count(_modular_bound(sig, v, top, k))
+            count = _prime_count(_modular_bound(sig, rows, top, k))
             if count < len(_PRIMES):
-                rest, penult = _fl_modular(sig, v, w, col, k, count)
+                rest, penult = _fl_modular(sig, rows, w, col, k, count)
                 coeffs.extend(rest)
                 return None
         w = w.astype(dtype)
         w[:, 0] = col
-        vk = v.astype(dtype, copy=False)
+        wc = w.astype(carrier, copy=False)
         if k == N - 1:
             # CN needs only <UN>_0, a dot product over the blades.
             penult = w
-            return (w * vk) @ sig._square_signs
-        # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
-        if dtype not in right:
-            right[dtype] = sig._right_factors(vk)
-        return (w[:, None, :] @ right[dtype])[:, 0, :]
+            out = (wc * rows.astype(carrier, copy=False)) @ sig._square_signs
+        else:
+            # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
+            if carrier not in right:
+                right[carrier] = sig._right_factors(v.astype(carrier, copy=False))[0]
+            out = wc @ right[carrier]
+            if shifts is not None:
+                out += column * wc
+        return out.astype(dtype, copy=False)
 
-    w = v
+    rows = v
+    if shifts is not None:
+        # |s| <= 2 * top, so an int64 column whenever a step's bound is
+        # below 2**63; times a float64 or object w it takes w's dtype.
+        column = np.array(shifts, _int_dtype(2 * top))[:, None]
+        rows = v.astype(column.dtype).repeat(len(shifts), axis=0)
+        rows[:, :1] += column
+    w = rows
     for k in range(1, N):
         w = step(w, k) if top is not None else _in_double_range(
             "a float step of the trace recursion", step, w, k)
@@ -405,10 +432,11 @@ def _newton_interpolate(values: Sequence[int]) -> list[int]:
     return poly
 
 
-def _sample_dets(sig: Signature, rows) -> list:
-    """Det of each integer row, from one run of the recursion on the stack."""
-    top = max(abs(c) for row in rows for c in row)
-    coeffs, _ = _fl_stack(sig, (np.array(rows, _int_dtype(top)), top, 1))
+def _sample_dets(sig: Signature, v: Sequence[int], shifts: Sequence[int]) -> list:
+    """Det(s*e + V) for the integer row V and each integer s of ``shifts``,
+    from one run of the recursion on the stack of rows s*e + V."""
+    top = max(max(map(abs, v)), *(abs(s + v[0]) for s in shifts))
+    coeffs, _ = _fl_stack(sig, (np.array([v], _int_dtype(top)), top, 1), shifts)
     return [-c for c in coeffs[-1]]
 
 
@@ -431,8 +459,7 @@ def charpoly_interp(u: Multivector) -> CharPoly:
     N = sig.N
     exact = u.to_exact()
     v, d = exact._row, exact._den
-    rows = [[x * d - v[0]] + [-c for c in v[1:]] for x in range(N + 1)]
-    poly = _newton_interpolate(_sample_dets(sig, rows))
+    poly = _newton_interpolate(_sample_dets(sig, [-c for c in v], range(0, (N + 1) * d, d)))
     scale = d ** N
     if poly[N] != scale:
         raise ConsistencyError("interpolated polynomial is not monic "

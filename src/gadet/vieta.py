@@ -83,7 +83,7 @@ def vieta_all(f: DetFormula, u: Multivector) -> CharPoly:
     _require_dimension(f, u)
     [(v, top, d)] = _slots((u,))
     # The scale-1 view e + tV (module docstring): row k is D**k * X(k)(U).
-    total, den = evaluate_terms(u.sig, f.terms, (_plus_constant((v, top, 1)),) * f.arity)
+    total, den = evaluate_terms(u.sig, f._sum, (_plus_constant((v, top, 1)),) * f.arity)
     coeffs = []
     for k in range(1, f.arity + 1):
         x_k = _scalar(u.sig, total[k], den * d ** k,

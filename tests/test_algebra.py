@@ -16,8 +16,13 @@ from gadet import (
     Multivector,
     Signature,
     SignatureMismatchError,
+    charpoly_interp,
+    charpoly_matrix,
     close,
     delta,
+    det_fl,
+    det_matrix,
+    fl_coefficients,
     inverse,
     random_multivector,
 )
@@ -105,6 +110,39 @@ def test_int64_guard_is_exact_at_its_boundary():
             for x, y in ((a, b), (b, a), (rational, b), (b, rational)):
                 assert (x * y).coeffs == product_by_definition(x, y).coeffs
             assert (a * b).scalar_part() == sig.dim * c * c
+
+
+def test_float_carrier_is_exact_at_its_boundary():
+    # A contraction of at least 4096 multiplies runs on float64 when its
+    # bound is below 2**53.  a = (c - 1, c, ..., c) and b_A = sign(A, A) * d
+    # give the bound 2**n * c * d and <a * b>_0 = d * (2**n * c - 1), odd.
+    # (c, d) = (2**24 - 1, 2**23 - 1) puts the bound just below 2**53;
+    # (2**24 + 1, 2**23 + 1) just above it, where <a * b>_0 is odd and above
+    # 2**53, so float64 would round it.
+    for sig in (Signature(6, 0), Signature(3, 3), Signature(0, 6)):
+        squares = [sig._blade_product(i, i)[1] for i in range(sig.dim)]
+        for c, d in ((2 ** 24 - 1, 2 ** 23 - 1), (2 ** 24 + 1, 2 ** 23 + 1)):
+            a = Multivector(sig, [c - 1] + [c] * (sig.dim - 1))
+            b = Multivector(sig, [s * d for s in squares])
+            rational = Multivector(sig, [Fraction(c - 1, 5)] + [Fraction(c, 5)] * (sig.dim - 1))
+            for x, y in ((a, b), (b, a), (rational, b), (b, rational)):
+                assert (x * y).coeffs == product_by_definition(x, y).coeffs
+            assert (a * b).scalar_part() == d * (sig.dim * c - 1)
+    # A recursion step: V = c times the 35 non-scalar blades that square to
+    # +1 in G(3, 3) has C1 = 0, so the first step is V * V with the bound
+    # 2**6 * c**2 and <V * V>_0 = 35 * c**2, odd.  c = 11863283 puts the
+    # bound just below 2**53; c = 2**24 - 1 just above it, where 35 * c**2
+    # is above 2**53.  Interp's nine rows x*e - V take the same bound.
+    sig = Signature(3, 3)
+    plus = [i for i in range(1, sig.dim) if sig._blade_product(i, i)[1] > 0]
+    assert len(plus) == 35
+    for c in (11863283, 2 ** 24 - 1):
+        assert (64 * c * c < 2 ** 53) == (c < 2 ** 24 - 1) and 35 * c * c % 2 == 1
+        u = Multivector.from_terms(sig, dict.fromkeys(plus, c))
+        expected = charpoly_matrix(u)
+        assert fl_coefficients(u) == expected
+        assert charpoly_interp(u) == expected
+        assert det_fl(u) == det_matrix(u)
 
 
 def test_exact_arithmetic_keeps_normal_form():

@@ -221,7 +221,7 @@ def test_charpoly_interp_flags_bad_determinant_function(monkeypatch):
     u = random_mvs(Signature(2, 0), 1, 30)[0]
     sample_dets = charpoly._sample_dets
     monkeypatch.setattr(charpoly, "_sample_dets",
-                        lambda sig, rows: [d ** 2 for d in sample_dets(sig, rows)])
+                        lambda *args: [d ** 2 for d in sample_dets(*args)])
     with pytest.raises(ConsistencyError):
         charpoly_interp(u)
 
@@ -233,8 +233,8 @@ def test_charpoly_interp_refuses_a_non_integer_divided_difference(monkeypatch):
     u = random_mvs(Signature(2, 0), 1, 30)[0]
     sample_dets = charpoly._sample_dets
 
-    def perturbed(sig, rows):
-        dets = sample_dets(sig, rows)
+    def perturbed(*args):
+        dets = sample_dets(*args)
         return [dets[0] + 1] + dets[1:]
 
     monkeypatch.setattr(charpoly, "_sample_dets", perturbed)
@@ -337,20 +337,19 @@ def spy_modular(monkeypatch) -> list:
 
 
 def test_interp_stack_with_rows_of_different_dtypes(monkeypatch):
-    # One stack through the recursion: a row that stays in int64, one that
-    # leaves it partway and one that starts beyond it.  Each sample must be
-    # the row's own determinant.  At n >= 5 the stack crosses into the
-    # modular route where it leaves int64; at n = 4 it goes on in object
-    # dtype.
+    # One stack through the recursion, the rows s*e + V of one V: a row
+    # that stays in int64, one that leaves it partway and one that starts
+    # beyond it.  Each sample must be the row's own determinant.  At n >= 5
+    # the stack crosses into the modular route where it leaves int64; at
+    # n = 4 it goes on in object dtype.
     switches = spy_modular(monkeypatch)
     r = random.Random(12)
     for sig in (Signature(3, 2), Signature(2, 2), Signature(6, 0)):
-        rows = [[r.randint(-9, 9) for _ in range(sig.dim)],
-                [r.randint(-2 ** 20, 2 ** 20) for _ in range(sig.dim)],
-                [r.randint(-2 ** 70, 2 ** 70) for _ in range(sig.dim)]]
+        v = [r.randint(-9, 9) for _ in range(sig.dim)]
+        shifts = [r.randint(-9, 9), r.randint(-2 ** 20, 2 ** 20), r.randint(-2 ** 70, 2 ** 70)]
         count = len(switches)
-        dets = charpoly._sample_dets(sig, rows)
-        assert dets == [det_matrix(Multivector(sig, row)) for row in rows]
+        dets = charpoly._sample_dets(sig, v, shifts)
+        assert dets == [det_matrix(Multivector(sig, [s + v[0]] + v[1:])) for s in shifts]
         assert all(type(d) is int for d in dets)
         assert len(switches) == count + (sig.n >= 5)
 

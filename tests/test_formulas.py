@@ -22,7 +22,8 @@ from gadet import (
     formula_from_json,
     formula_to_json,
 )
-from gadet.formulas import (_CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, _read_formula,
+from gadet import formulas
+from gadet.formulas import (_CATALOG_TEXT, Conj, FormulaTerm, Prod, Slot, _nodes, _read_formula,
                             format_formula)
 from helpers import MATRIX_ORACLE, SIGNATURES, forbid, random_mvs, same_typed
 
@@ -381,6 +382,50 @@ def test_f_function_on_slots_with_different_denominators():
                       for i in range(f.arity)]
             got = f.evaluate(values)
             assert same_typed(got.coeffs, _by_multivectors(f, values).coeffs), (sig, f.family)
+
+
+def test_shared_programs_count_products(monkeypatch):
+    # With every slot holding one value, an identical subtree is computed
+    # once.  Separate slot values, even one value passed N times to
+    # DetFormula.evaluate, are never merged: they share only a subtree that
+    # two terms write over the same slots, such as x1 * tilde(x2).
+    from gadet import vieta_all
+
+    # (n, family, variant): products written, with all slots the same, with
+    # separate slot values.
+    expected = {
+        (1, "bar", "standard"): (1, 1, 1), (1, "triangle", "standard"): (1, 1, 1),
+        (2, "bar", "standard"): (1, 1, 1), (2, "triangle", "standard"): (1, 1, 1),
+        (3, "bar", "standard"): (6, 5, 6), (3, "bar_tilde", "standard"): (3, 2, 3),
+        (3, "triangle", "reordered"): (3, 3, 3), (3, "triangle", "standard"): (3, 3, 3),
+        (4, "bar", "standard"): (6, 5, 6), (4, "bar_tilde", "standard"): (3, 2, 3),
+        (4, "triangle", "standard"): (3, 3, 3),
+        (5, "bar_tilde", "standard"): (14, 7, 12), (5, "bar_tilde_hat", "standard"): (7, 4, 7),
+        (5, "triangle", "standard"): (7, 7, 7),
+        (6, "bar_tilde", "standard"): (14, 7, 12), (6, "triangle", "standard"): (14, 10, 12),
+    }
+    calls = []
+    product = formulas._product
+    monkeypatch.setattr(formulas, "_product", lambda *args: calls.append(1) or product(*args))
+
+    def count(route) -> int:
+        calls.clear()
+        route()
+        return len(calls)
+
+    got = {}
+    for n in range(1, 7):
+        sig = Signature(n, 0)
+        u, *values = random_mvs(sig, 9, 17)
+        for f in available_formulas(n):
+            written = sum(len(node.factors) - 1 for term in f.terms
+                          for node in _nodes(term.tree) if isinstance(node, Prod))
+            same = count(lambda: evaluate_det(f, u))
+            assert count(lambda: vieta_all(f, u)) == same
+            separate = count(lambda: f.evaluate(values[:f.arity]))
+            assert count(lambda: f.evaluate([u] * f.arity)) == separate
+            got[n, f.family, f.variant] = (written, same, separate)
+    assert got == expected
 
 
 def test_float_overflow_in_the_stack_evaluator_raises():

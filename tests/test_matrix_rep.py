@@ -22,7 +22,7 @@ from gadet import (
 )
 from gadet import algebra, charpoly, formulas, matrix_rep
 from gadet.matrix_rep import Representation
-from helpers import SIGNATURES, forbid, random_mvs, same_typed
+from helpers import SIGNATURES, forbid, random_mvs, same_typed, substitute
 
 
 def dense(m):
@@ -200,6 +200,16 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
                          algebra._in_double_range, charpoly._fl_stack,
                          charpoly._fl_modular, formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
+    # The oracle picks its integer dtypes with _int_dtype, but never the
+    # float64 carrier of the products it checks.
+    int_dtype = algebra._int_dtype
+
+    def no_carrier(*args):
+        dtype = int_dtype(*args)
+        assert dtype is not np.float64, "the matrix oracle must not use the float64 carrier"
+        return dtype
+
+    substitute(monkeypatch, (int_dtype,), lambda fn: no_carrier)
     # Rebuild every representation under the patch, not just reuse the cache.
     monkeypatch.setattr(matrix_rep, "_REPRESENTATIONS", {})
     for u, det, cp in expected:
