@@ -67,7 +67,8 @@ otherwise, n = 5 (2, 2) 8.9-9.3 -> 8.4-8.5 and n = 4 (4, 4) 10.2 -> 9.8;
 below the gate, n = 5 (1, 1) 4.0 -> 4.7-4.9 and a B = 1 step 1.3 -> 1.6.
 Stacks have at most 9 rows (degree N <= 8), so every carrier BLAS call is
 at most (9, 64) @ (64, 64), below the 64 x 64 x 64 products on which
-threaded OpenBLAS has been seen to stall on a 2-vCPU VM.
+threaded OpenBLAS has been seen to stall on a 2-vCPU VM; the modular route
+of ``charpoly`` keeps its primes a batch axis, one such call per prime.
 
 An exact multivector is one integer row over one positive denominator in
 lowest terms, so two exact values are equal iff their rows and denominators

@@ -47,11 +47,27 @@ above with max|V| read as top.
 Past int64, the modular route (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, 3rd ed., ch. 5).  At n >= 5, the first step whose bound leaves
 int64 takes its Ck exactly, as above, and hands the rest of the recursion
-to GF(p): Uk - Ck and V are reduced modulo a few primes p < 2**28, and
-every later step is one batched int64 matmul over all primes, reduced mod
-p; 2**n * p**2 < 2**63 keeps it exact.  One contraction against cached
-Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V) and W, each in
-(-M/2, M/2) for M the product of the primes.  M exceeds twice the bound
+to GF(p): Uk - Ck is reduced modulo a few primes p < 2**28, and every
+later step is one matmul over all primes, the prime axis a batch of
+(B, 2**n) @ (2**n, 2**n) products, reduced mod p.  The right factor is
+picked once, when the route starts.  While
+
+    p * top * (2**n + 2) < 2**53,    p the largest prime,
+
+it is the run's own gather R(V), the one its integer steps use, on
+float64 (Dumas, Giorgi & Pernet, *ACM TOMS* 35(3), 2008): each output
+s*w + w @ R(V) sums 2**n products of a residue below p and an entry of
+R(V) at most top, plus s times a residue with |s| <= 2 * top, so every
+partial sum is an integer below 2**53, exact in float64.  Above it
+(max|V| past about 2**19 at n = 6, and float interp's 56-bit rows) each
+prime multiplies by the gather of V's residues in int64, the shifts
+reduced mod p too: (2**n + 1) * p**2 < 2**63 keeps that exact.  CN is the
+dot product against V's row plus s * <w>_0.  One contraction against
+cached Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V), each in
+(-M/2, M/2) for M the product of the primes.  W, the 2**n values of the
+adjugate, is rebuilt the same way only when ``adjugate`` or ``inverse``
+reads it, so ``det_fl``, ``fl_coefficients`` and interp's samples skip
+that contraction.  M exceeds twice the bound
 
     |Cj(V)| <= binom(N, j) * S**j,   |<W>_A| < 2**N * S**(N-1),
     S = max over rows of sum |V_A|,
@@ -59,29 +75,31 @@ Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V) and W, each in
 which holds because every blade matrix of the representation is unitary
 (Shirokov, *Comput. Appl. Math.* 40, 2021; ``matrix_rep`` checks it at
 construction), so every eigenvalue of beta(V) has |lambda| <= S.  One
-more prime checks the result: a value that disagrees with its residue
+more prime checks each rebuild: a value that disagrees with its residue
 there raises ConsistencyError, as a non-integer Ck or a bound too small
 would make it; the route never falls back silently.  It is taken from n
 and the prime count alone: n >= 5 and at most 63 primes, the table's
 length less the check prime; otherwise the steps go on in object dtype.
 
 fl_coefficients on integer rows with b-bit coefficients (2-vCPU x86-64
-VM, best of five, ms per call; "switch" is the step k that leaves int64):
+VM, mean over five inputs of the best of five calls, ms, two runs; "k" is
+the step that leaves int64, "R(V)" a route on the shared float64 factor,
+"res" one on V's residues in int64):
 
-    n=4  G(4,0)  b=48..600   8..87 primes   object 0.08-0.44  modular 0.09-0.90
-    n=5  G(5,0)  b=7   k=6   4 primes       object 0.126      modular 0.113
-    n=5  G(5,0)  b=16  k=3   6 primes       object 0.38       modular 0.19
-    n=5  G(5,0)  b=96  k=1   29 primes      object 0.86       modular 0.52
-    n=5  G(5,0)  b=900 k=1   259 primes     object 18.0       modular 10.4
-    n=6  G(6,0)  b=7   k=6   4 primes       object 0.43       modular 0.20
-    n=6  G(6,0)  b=16  k=3   7 primes       object 1.25       modular 0.29
-    n=6  G(6,0)  b=96  k=1   29 primes      object 3.1        modular 1.26
-    n=6  G(6,0)  b=200 k=1   59 primes      object 6.8        modular 2.9
-    n=6  G(6,0)  b=900 k=1   259 primes     object 73         modular 25
+    n=4  G(4,0)  b=48   k=1  8 primes     object 0.08-0.14  route 0.10-0.17
+    n=4  G(4,0)  b=200  k=1  29-30 primes object 0.13-0.21  route 0.20-0.21
+    n=5  G(5,0)  b=7    k=6  4  R(V)      object 0.11-0.13  route 0.10-0.15
+    n=5  G(5,0)  b=16   k=3  6  R(V)      object 0.37-0.54  route 0.13-0.16
+    n=5  G(5,0)  b=96   k=1  29 res       object 0.85-1.12  route 0.43-0.58
+    n=6  G(6,0)  b=7    k=6  4  R(V)      object 0.40-0.62  route 0.16-0.20
+    n=6  G(6,0)  b=16   k=3  7  R(V)      object 1.41-2.04  route 0.22-0.27
+    n=6  G(6,0)  b=96   k=1  29 res       object 4.0-5.8    route 1.05-1.89
+    n=6  G(6,0)  b=200  k=1  59 res       object 7.7-12.5   route 3.9-4.2
 
-At n <= 4 the route lost at every size (0.5-0.9x); at n = 5 and 6 it won
-at every count measured, 4 to 259 primes, so the table's length is the
-only cap.
+(the n = 4 rows force the route).  The route caps at 63 primes: b = 900
+needs 259, so it runs in object dtype, 20-35 ms at G(5,0) and 86-134 ms at
+G(6,0), and so does b = 600 at G(4,0).  At n <= 4 the route loses or ties
+(0.7-1.0x); at n = 5 and 6 it wins from 4 primes up to that cap.
 """
 
 from __future__ import annotations
@@ -89,7 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,9 +176,9 @@ class CharPoly:
 
 
 #: Primes below 2**28, the largest first; the route uses up to 63 of them
-#: and the next as a check.  2**6 * p**2 < 2**63, so a step of the
-#: recursion over GF(p) stays in int64 at every n; a test checks both this
-#: and that each entry is prime.
+#: and the next as a check.  (2**6 + 1) * p**2 < 2**63, so an int64 step
+#: of the recursion over GF(p), shift included, stays exact at every n; a
+#: test checks both this and that each entry is prime.
 _PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
     268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
@@ -173,6 +191,14 @@ _PRIMES = (
     268434479, 268434461, 268434401, 268434391, 268434389, 268434373, 268434289,
     268434281,
 )
+
+#: A GF(p) step on the run's shared right factor R(V) runs on float64
+#: while p * top * (2**n + 2) is below this limit, p the largest prime: each
+#: output sums 2**n products of a residue below p and an entry of R(V) at
+#: most top, plus s times a residue with |s| <= 2 * top, so every partial
+#: sum is an integer below the limit, and each integer up to 2**53 is a
+#: double (``algebra``'s float64 carrier).
+_SHARED_FACTOR_LIMIT = 1 << 53
 
 #: The smallest n that takes the modular route: at n <= 4 object dtype is
 #: faster at every prime count measured (the module docstring's table).
@@ -228,40 +254,77 @@ def _residues(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return x % primes.reshape(shape)
 
 
-def _fl_modular(sig: Signature, v: np.ndarray, w: np.ndarray, col: list, k: int,
-                count: int) -> tuple[list, np.ndarray]:
-    """Steps k..N-1 of the recursion from Uk = w, Ck already taken (its
-    scalar column Uk - Ck is ``col``), over GF(p) for ``count`` primes and a
-    check prime at once: one batched int64 matmul per step.  Each product is
-    a sum of 2**n terms below p**2, inside int64.  Returns the residues
-    rebuilt by the Chinese remainder theorem: [C(k+1) of each row, ..., CN
-    of each row] and W, in Python ints.  A value that disagrees with its
-    residue modulo the check prime raises ConsistencyError."""
-    N, B = sig.N, len(v)
-    primes, modulus, crt, inverses = _crt_table(count)
-    p = primes[:, :, None]
-    vp = _residues(v, primes)
-    wp = _residues(w, primes)
-    wp[:, :, 0] = _residues(np.array(col, object), primes)
-    right = sig._right_factors(vp)
-    residues = []
-    for j in range(k + 1, N):
-        wp = (wp[:, :, None, :] @ right)[:, :, 0, :] % p
-        s = wp[:, :, 0]
-        c = N * s % primes * inverses[:, j:j + 1] % primes
-        residues.append(c)
-        wp[:, :, 0] = (s - c) % primes
-    # CN = <(U(N-1) - C(N-1)) * U>_0, a dot product over the blades.
-    residues.append(((wp * vp) @ sig._square_signs)[:, :, 0] % primes)
-    residues = np.concatenate(residues + [wp.reshape(len(primes), -1)], axis=1)
+def _rebuild(residues: np.ndarray, count: int) -> list:
+    """The Python ints in (-M/2, M/2), M the product of the first ``count``
+    primes, with the int64 residues ``residues`` (one row per prime, the
+    check prime last), by one contraction against the CRT coefficients.  A
+    value that disagrees with its residue modulo the check prime raises
+    ConsistencyError."""
+    primes, modulus, crt, _ = _crt_table(count)
     values = crt @ residues[:-1].astype(object) % modulus
     values[values > modulus >> 1] -= modulus
     if ((values % int(primes[-1, 0])) != residues[-1]).any():
         raise ConsistencyError(
             f"the trace recursion modulo {count} primes disagrees with the check prime")
-    values = values.tolist()
-    coeffs = [values[i:i + B] for i in range(0, (N - k) * B, B)]
-    return coeffs, np.array(values[(N - k) * B:], object).reshape(B, sig.dim)
+    return values.tolist()
+
+
+def _fl_modular(sig: Signature, slot: tuple, w: np.ndarray, col: list, k: int,
+                count: int, column: np.ndarray | None,
+                factor: Callable) -> tuple[list, Callable[[], np.ndarray]]:
+    """Steps k..N-1 of the recursion on the rows s*e + V, from Uk = w, Ck
+    already taken (its scalar column Uk - Ck is ``col``), over GF(p) for
+    ``count`` primes and a check prime at once: one batched matmul per step.
+    ``slot`` holds V and top, ``column`` the shifts s (None for s = 0)
+    and factor(dtype) the run's one gather R(V).  The right factor is
+    picked once (module docstring): R(V) itself on float64 while
+    p * top * (2**n + 2) < _SHARED_FACTOR_LIMIT, else the gather of V's
+    residues in int64.  Returns [C(k+1) of each row, ..., CN of each row],
+    rebuilt by the Chinese remainder theorem, and a callable that rebuilds
+    W; each rebuild is checked against the check prime."""
+    N, B = sig.N, len(w)
+    v, top, _ = slot
+    primes, _, _, inverses = _crt_table(count)
+    if _PRIMES[0] * top * (sig.dim + 2) < _SHARED_FACTOR_LIMIT:
+        carrier, row, right = np.float64, v.astype(np.float64), factor(np.float64)
+        if column is not None:
+            column = column.astype(np.float64)
+    else:
+        carrier, row = np.int64, _residues(v, primes)
+        right = sig._right_factors(row)[:, 0]
+        if column is not None:
+            column = _residues(column, primes)
+    p = primes[:, :, None]
+    ratios = N * inverses % primes  # N/j mod p in column j
+    # <x * V>_0 = x @ (sign(A, A) * V_A), a column per prime.
+    dot = (row * sig._square_signs[:, 0]).swapaxes(-1, -2)
+    wp = _residues(w, primes)
+    wp[:, :, 0] = _residues(np.array(col, object), primes)
+    residues = []
+    for j in range(k + 1, N + 1):
+        # Uj = (U(j-1) - C(j-1)) * (s*e + V), at j = N only its scalar part
+        # (s*w, or s*<w>_0, plus the matmul); then Cj = (N/j) * <Uj>_0.
+        wc = wp.astype(carrier, copy=False)
+        out = wc @ (right if j < N else dot)
+        if column is not None:
+            out += column * wc[:, :, :out.shape[-1]]
+        out = out.astype(np.int64, copy=False) % p
+        s = out[:, :, 0]
+        c = s * ratios[:, j:j + 1] % primes
+        residues.append(c)
+        if j < N:
+            out[:, :, 0] = (s - c) % primes
+            wp = out
+    values = _rebuild(np.concatenate(residues, axis=1), count)
+
+    @cache
+    def penult():
+        # W = U(N-1) - C(N-1), rebuilt once, and only for a caller that
+        # reads it.
+        values = _rebuild(wp.reshape(len(primes), -1), count)
+        return np.array(values, object).reshape(B, sig.dim)
+
+    return [values[i:i + B] for i in range(0, (N - k) * B, B)], penult
 
 
 def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
@@ -269,12 +332,12 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     (stack, top, scale) of ``algebra._slots``, in float64 when top is None,
     else integers, and s each integer of ``shifts`` (one row, s = 0, when
     None), with top >= max|V| and top >= |s + V_0|.  Returns ([C1 of each
-    row, ..., CN of each row], W) with W the (B, 2**n) array of
-    V(N-1) - C(N-1)*e, the negated adjugate.  The recursion is not a product
-    of slots, so the caller divides Ck(V) by its own scale**k.  Where an
-    integer step first leaves int64 with a product step still to come, the
-    rest takes the modular route when n and the prime count allow (module
-    docstring)."""
+    row, ..., CN of each row], penult) with penult() the (B, 2**n) array W
+    of V(N-1) - C(N-1)*e, the negated adjugate; the modular route rebuilds
+    it only on that call.  The recursion is not a product of slots, so the
+    caller divides Ck(V) by its own scale**k.  Where an integer step first
+    leaves int64 with a product step still to come, the rest takes the
+    modular route when n and the prime count allow (module docstring)."""
     v, top, _ = slot
     N = sig.N
     coeffs = []
@@ -283,6 +346,15 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     right = {}
     penult = None
     modular = sig.n >= _MODULAR_MIN_N
+
+    def factor(carrier):
+        if carrier not in right:
+            # A step on int64 or float64 holds V exactly, so the two share
+            # one gather per run.
+            shared = None if carrier is object else right.get(np.int64, right.get(np.float64))
+            right[carrier] = (sig._right_factors(v.astype(carrier, copy=False))[0]
+                              if shared is None else shared.astype(carrier))
+        return right[carrier]
 
     def step(w, k):
         # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
@@ -313,7 +385,7 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
             modular = False
             count = _prime_count(_modular_bound(sig, rows, top, k))
             if count < len(_PRIMES):
-                rest, penult = _fl_modular(sig, rows, w, col, k, count)
+                rest, penult = _fl_modular(sig, slot, w, col, k, count, column, factor)
                 coeffs.extend(rest)
                 return None
         w = w.astype(dtype)
@@ -321,18 +393,16 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
         wc = w.astype(carrier, copy=False)
         if k == N - 1:
             # CN needs only <UN>_0, a dot product over the blades.
-            penult = w
+            penult = lambda w=w: w
             out = (wc * rows.astype(carrier, copy=False)) @ sig._square_signs
         else:
             # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
-            if carrier not in right:
-                right[carrier] = sig._right_factors(v.astype(carrier, copy=False))[0]
-            out = wc @ right[carrier]
-            if shifts is not None:
+            out = wc @ factor(carrier)
+            if column is not None:
                 out += column * wc
         return out.astype(dtype, copy=False)
 
-    rows = v
+    rows, column = v, None
     if shifts is not None:
         # |s| <= 2 * top, so an int64 column whenever a step's bound is
         # below 2**63; times a float64 or object w it takes w's dtype.
@@ -350,14 +420,20 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
 
 
 class _FlRun(NamedTuple):
-    """One run of the recursion on u = V / D: (C1(V), ..., CN(V)), the row
-    W = V(N-1) - C(N-1)(V)*e, and D.  A float u runs in float64 with D = 1.
-    The determinant, adjugate and inverse are each read off a run."""
+    """One run of the recursion on u = V / D: (C1(V), ..., CN(V)), the
+    ``penult`` of ``_fl_stack`` and D.  A float u runs in float64 with D = 1.
+    The determinant, adjugate and inverse are each read off a run; only the
+    last two read the row W = V(N-1) - C(N-1)(V)*e, so a run read for its
+    determinant alone never rebuilds W from the modular route's residues."""
 
     sig: Signature
     coeffs: list
-    w: np.ndarray
+    penult: Callable[[], np.ndarray]
     d: int
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.penult()[0]
 
     def det(self) -> Scalar:
         det = -self.coeffs[-1]
@@ -380,8 +456,8 @@ class _FlRun(NamedTuple):
 def _fl_run(u: Multivector) -> _FlRun:
     """The recursion on one multivector u."""
     [slot] = _slots((u,))
-    coeffs, w = _fl_stack(u.sig, slot)
-    return _FlRun(u.sig, [c[0] for c in coeffs], w[0], slot[2])
+    coeffs, penult = _fl_stack(u.sig, slot)
+    return _FlRun(u.sig, [c[0] for c in coeffs], penult, slot[2])
 
 
 def fl_coefficients(u: Multivector) -> CharPoly:

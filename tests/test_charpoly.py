@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gadet import (
@@ -26,7 +27,8 @@ from gadet import (
 )
 from gadet import charpoly
 from gadet.cli import METHODS
-from helpers import MATRIX_ORACLE, SIGNATURES, forbid, random_mvs, same_typed
+from helpers import (MATRIX_ORACLE, SIGNATURES, forbid, product_by_definition, random_mvs,
+                     same_typed)
 
 
 def test_identity_coefficients_are_binomial():
@@ -328,9 +330,9 @@ def spy_modular(monkeypatch) -> list:
     switches = []
     modular = charpoly._fl_modular
 
-    def spy(sig, v, w, col, k, count):
+    def spy(sig, slot, w, col, k, count, *rest):
         switches.append((k, count))
-        return modular(sig, v, w, col, k, count)
+        return modular(sig, slot, w, col, k, count, *rest)
 
     monkeypatch.setattr(charpoly, "_fl_modular", spy)
     return switches
@@ -382,8 +384,9 @@ def test_modular_primes_are_prime_and_keep_a_step_in_int64():
     assert not _is_prime(268435457) and _is_prime(268435399)  # 2**28 + 1 = 17 * 15790321
     for p in primes:
         assert _is_prime(p), p
-        # A GF(p) step sums 2**n products below p**2, n <= 6.
-        assert p < 2 ** 28 and 2 ** 6 * p * p < 2 ** 63
+        # An int64 GF(p) step sums 2**n products below p**2, n <= 6, and
+        # interp's shift times a residue, also below p**2.
+        assert p < 2 ** 28 and (2 ** 6 + 1) * p * p < 2 ** 63
 
 
 @pytest.mark.parametrize("sig", [Signature(6, 0), Signature(0, 5)])
@@ -432,6 +435,83 @@ def test_modular_route_refuses_a_broken_product(monkeypatch):
     # C1 = 8 * <V>_0 is an integer however broken the product is; the
     # route starts right after it.
     assert switches[0][0] == 1
+
+
+def test_modular_step_carrier_is_exact_at_its_boundary():
+    # A GF(p) step multiplies by the run's own right factor R(V) on float64
+    # while p * top * (2**n + 2) < 2**53, p the largest prime; else by the
+    # gather of V's residues in int64.  From U5 - C5 = -8! on every blade,
+    # whose residue p - 8! is odd modulo every prime, and V_A = sign(A, A) * c
+    # but V_0 = c - 1, the next step's scalar part sums 64 products to
+    # (p - 8!) * (64c - 1), odd.  c = 508399 puts the bound just below 2**53;
+    # c = 1016801 puts it between 2**53 and 2**54 and that sum above 2**53,
+    # where float64 would round it.  The rows s*e + V of interp take the
+    # same bound: s = -c keeps the sum of the matmul above 2**53.
+    sig = Signature(6, 0)
+    N, k, count = sig.N, 5, 6
+    primes = charpoly._PRIMES[:count + 1]
+    squares = [sig._blade_product(i, i)[1] for i in range(sig.dim)]
+    for c, shared in ((508399, True), (1016801, False)):
+        assert (max(primes) * c * (sig.dim + 2) < 2 ** 53) == shared
+        assert max(primes) * c * (sig.dim + 2) < 2 ** 54
+        assert all((p - 40320) * (64 * c - 1) % 2 == 1 for p in primes)
+        assert shared or all((p - 40320) * (64 * c - 1) > 2 ** 53 for p in primes)
+        v = [c - 1] + [s * c for s in squares[1:]]
+        for shifts in ([0], [0, -c]):
+            requests = []
+
+            def factor(dtype):
+                requests.append(dtype)
+                return sig._right_factors(np.array([v], dtype))[0]
+
+            w = np.full((len(shifts), sig.dim), -40320)
+            coeffs, penult = charpoly._fl_modular(
+                sig, (np.array([v]), c, 1), w, [-40320] * len(shifts), k, count,
+                np.array(shifts)[:, None] if len(shifts) > 1 else None, factor)
+            assert requests == ([np.float64] if shared else [])
+            # The recursion on each row by the definition of the product.
+            expected, rows = [], []
+            for s in shifts:
+                x, u = Multivector(sig, w[0].tolist()), Multivector(sig, [s + v[0]] + v[1:])
+                cs = []
+                for j in range(k + 1, N):
+                    y = product_by_definition(x, u)
+                    cj, rem = divmod(N * y.scalar_part(), j)
+                    assert rem == 0
+                    cs.append(cj)
+                    x = y - cj
+                expected.append(cs + [product_by_definition(x, u).scalar_part()])
+                rows.append(list(x.coeffs))
+            assert coeffs == [list(cj) for cj in zip(*expected)]
+            assert penult().tolist() == rows
+
+
+def test_rational_run_gathers_once_and_rebuilds_only_what_it_reads(monkeypatch):
+    # A rational G(6,0) or G(3,2) input leaves int64 partway: its integer
+    # steps and its modular steps share one gather of V, and only a reader
+    # of the adjugate makes the route rebuild W.
+    switches = spy_modular(monkeypatch)
+    gathers, rebuilds = [], []
+    right_factors, rebuild = Signature._right_factors, charpoly._rebuild
+    monkeypatch.setattr(Signature, "_right_factors",
+                        lambda self, b: gathers.append(b.shape) or right_factors(self, b))
+    monkeypatch.setattr(charpoly, "_rebuild",
+                        lambda residues, count: rebuilds.append(count) or rebuild(residues, count))
+    r = random.Random(29)
+    for sig in (Signature(6, 0), Signature(3, 2)):
+        u = Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9)) for _ in range(sig.dim)))
+        for method, reads_w in ((det_fl, False), (fl_coefficients, False),
+                                (charpoly_interp, False), (adjugate, True), (inverse, True)):
+            del switches[:], gathers[:], rebuilds[:]
+            method(u)
+            assert len(switches) == 1, method
+            assert gathers == [(1, sig.dim)], method
+            assert len(rebuilds) == 1 + reads_w, method
+        # The inverse command reads W twice from one run; it is rebuilt once.
+        del rebuilds[:]
+        run = charpoly._fl_run(u)
+        run.inverse(), run.adjugate()
+        assert len(rebuilds) == 2
 
 
 def test_modular_route_matches_object_dtype(monkeypatch):
