@@ -27,47 +27,48 @@ Ck and Uk are homogeneous of degree k in U, so
 and the division happens once, at the end.  The recursion is not a product
 of slots, so it keeps these powers of D itself.  For an integer V every Ck(V)
 is an integer: it is a characteristic coefficient of the Gaussian-integer
-matrix beta(V) of the matrix representation, and it is real.  So every
-step stays in ints; a Ck that is not an integer is an error
-(ConsistencyError), never a silent fall back to fractions.  Each step runs
-in int64 under the product's bound from the ``algebra`` docstring,
-max|Uk - Ck| * max|V| * 2**n < 2**63, on its float64 carrier below 2**53
-when the step does at least 4096 multiplies, and in object dtype otherwise.
-Float rows run the same loop in float64, each step range-checked by
-``algebra``'s one float check.
+matrix beta(V) of the matrix representation, and it is real.
 
 The rows of a stack share one right factor.  ``charpoly_interp`` samples
 Det(x*D*e - V) at x = 0..N, so its rows are s*e + V' with V' = -V and
 s = x*D, and each step is (Uk - Ck) * (s*e + V') = s*(Uk - Ck) +
-(Uk - Ck) * V': one gather of V' and one matmul for the whole stack, not
+(Uk - Ck) * V': one gather R(V') and one matmul for the whole stack, not
 one of each per row.  With top >= max|V'| and top >= |s + V'_0| over the
-rows, |s| <= 2 * top, so both parts, and their sum, stay under the bound
-above with max|V| read as top.
+rows, |s| <= 2 * top.
 
-Past int64, the modular route (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, 3rd ed., ch. 5).  At n >= 5, the first step whose bound leaves
-int64 takes its Ck exactly, as above, and hands the rest of the recursion
-to GF(p): Uk - Ck is reduced modulo a few primes p < 2**28, and every
-later step is one matmul over all primes, the prime axis a batch of
-(B, 2**n) @ (2**n, 2**n) products, reduced mod p.  The right factor is
-picked once, when the route starts.  While
+One loop runs steps 1..N-1 in three rings, each step the same three
+parts: Ck = (N/k) * <Uk>_0; (Uk - Ck) * U as w @ R(V) plus the shift term
+s*w; and at k = N - 1 only its scalar part, CN = <W * V>_0 + s*<W>_0 with
+W = U(N-1) - C(N-1), a dot product over the blades.  Float rows run in
+float64, each step range-checked by ``algebra``'s one float check.
+Integer rows run over Z: Ck is an exact division, and a Ck that is not an
+integer is an error (ConsistencyError), never a silent fall back to
+fractions.  Each step applies the dtype rule of the ``algebra`` docstring
+to the product's bound max|Uk - Ck| * max|V| * 2**n: int64 below 2**63,
+on its float64 carrier below 2**53 when the step does at least 4096
+multiplies, else object dtype.  s*w, w * V and their sum, the product by
+the row s*e + V, stay under that bound with max|V| read as top.
 
-    p * top * (2**n + 2) < 2**53,    p the largest prime,
-
-it is the run's own gather R(V), the one its integer steps use, on
-float64 (Dumas, Giorgi & Pernet, *ACM TOMS* 35(3), 2008): each output
-s*w + w @ R(V) sums 2**n products of a residue below p and an entry of
-R(V) at most top, plus s times a residue with |s| <= 2 * top, so every
-partial sum is an integer below 2**53, exact in float64.  Above it
-(max|V| past about 2**19 at n = 6, and float interp's 56-bit rows) each
-prime multiplies by the gather of V's residues in int64, the shifts
-reduced mod p too: (2**n + 1) * p**2 < 2**63 keeps that exact.  CN is the
-dot product against V's row plus s * <w>_0.  One contraction against
-cached Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V), each in
-(-M/2, M/2) for M the product of the primes.  W, the 2**n values of the
-adjugate, is rebuilt the same way only when ``adjugate`` or ``inverse``
-reads it, so ``det_fl``, ``fl_coefficients`` and interp's samples skip
-that contraction.  M exceeds twice the bound
+At n >= 5, the first integer step whose bound leaves int64, with a
+product step still to come, takes its Ck exactly and moves the rest of
+the run to GF(p) for a batch of primes p < 2**28 (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 5): every later step is
+one matmul over all primes, the prime axis a batch of (B, 2**n) @
+(2**n, 2**n) products reduced mod p, and Ck is <Uk>_0 * (N/k mod p).  On
+entry the ring picks its right factor by the same dtype rule, applied to
+p * top * (2**n + 2), p the largest prime: each output s*w + w @ R(V)
+sums 2**n products of a residue below p and an entry of R(V) at most top,
+plus s times a residue with |s| <= 2 * top.  Below 2**53 the factor is
+the run's own gather R(V), shared with its integer steps, on float64
+(Dumas, Giorgi & Pernet, *ACM TOMS* 35(3), 2008).  Above it (max|V| past
+about 2**19 at n = 6, and float interp's 56-bit rows) V and the shifts
+are reduced mod p too, and each prime multiplies by the gather of V's
+residues in int64: (2**n + 1) * p**2 < 2**63 keeps that exact.  One
+contraction against cached Chinese-remainder coefficients rebuilds
+C(k+1)(V)..CN(V), each in (-M/2, M/2) for M the product of the primes.
+W, the 2**n values of the adjugate, is rebuilt the same way only when
+``adjugate`` or ``inverse`` reads it, so ``det_fl``, ``fl_coefficients``
+and interp's samples skip that contraction.  M exceeds twice the bound
 
     |Cj(V)| <= binom(N, j) * S**j,   |<W>_A| < 2**N * S**(N-1),
     S = max over rows of sum |V_A|,
@@ -77,14 +78,14 @@ which holds because every blade matrix of the representation is unitary
 construction), so every eigenvalue of beta(V) has |lambda| <= S.  One
 more prime checks each rebuild: a value that disagrees with its residue
 there raises ConsistencyError, as a non-integer Ck or a bound too small
-would make it; the route never falls back silently.  It is taken from n
+would make it; the ring never falls back silently.  It is entered from n
 and the prime count alone: n >= 5 and at most 63 primes, the table's
 length less the check prime; otherwise the steps go on in object dtype.
 
 fl_coefficients on integer rows with b-bit coefficients (2-vCPU x86-64
 VM, mean over five inputs of the best of five calls, ms, two runs; "k" is
 the step that leaves int64, "R(V)" a route on the shared float64 factor,
-"res" one on V's residues in int64):
+"res" one on V's residues in int64; "route" is the GF(p) ring):
 
     n=4  G(4,0)  b=48   k=1  8 primes     object 0.08-0.14  route 0.10-0.17
     n=4  G(4,0)  b=200  k=1  29-30 primes object 0.13-0.21  route 0.20-0.21
@@ -192,14 +193,6 @@ _PRIMES = (
     268434281,
 )
 
-#: A GF(p) step on the run's shared right factor R(V) runs on float64
-#: while p * top * (2**n + 2) is below this limit, p the largest prime: each
-#: output sums 2**n products of a residue below p and an entry of R(V) at
-#: most top, plus s times a residue with |s| <= 2 * top, so every partial
-#: sum is an integer below the limit, and each integer up to 2**53 is a
-#: double (``algebra``'s float64 carrier).
-_SHARED_FACTOR_LIMIT = 1 << 53
-
 #: The smallest n that takes the modular route: at n <= 4 object dtype is
 #: faster at every prime count measured (the module docstring's table).
 _MODULAR_MIN_N = 5
@@ -269,104 +262,63 @@ def _rebuild(residues: np.ndarray, count: int) -> list:
     return values.tolist()
 
 
-def _fl_modular(sig: Signature, slot: tuple, w: np.ndarray, col: list, k: int,
-                count: int, column: np.ndarray | None,
-                factor: Callable) -> tuple[list, Callable[[], np.ndarray]]:
-    """Steps k..N-1 of the recursion on the rows s*e + V, from Uk = w, Ck
-    already taken (its scalar column Uk - Ck is ``col``), over GF(p) for
-    ``count`` primes and a check prime at once: one batched matmul per step.
-    ``slot`` holds V and top, ``column`` the shifts s (None for s = 0)
-    and factor(dtype) the run's one gather R(V).  The right factor is
-    picked once (module docstring): R(V) itself on float64 while
-    p * top * (2**n + 2) < _SHARED_FACTOR_LIMIT, else the gather of V's
-    residues in int64.  Returns [C(k+1) of each row, ..., CN of each row],
-    rebuilt by the Chinese remainder theorem, and a callable that rebuilds
-    W; each rebuild is checked against the check prime."""
-    N, B = sig.N, len(w)
-    v, top, _ = slot
-    primes, _, _, inverses = _crt_table(count)
-    if _PRIMES[0] * top * (sig.dim + 2) < _SHARED_FACTOR_LIMIT:
-        carrier, row, right = np.float64, v.astype(np.float64), factor(np.float64)
-        if column is not None:
-            column = column.astype(np.float64)
-    else:
-        carrier, row = np.int64, _residues(v, primes)
-        right = sig._right_factors(row)[:, 0]
-        if column is not None:
-            column = _residues(column, primes)
-    p = primes[:, :, None]
-    ratios = N * inverses % primes  # N/j mod p in column j
-    # <x * V>_0 = x @ (sign(A, A) * V_A), a column per prime.
-    dot = (row * sig._square_signs[:, 0]).swapaxes(-1, -2)
-    wp = _residues(w, primes)
-    wp[:, :, 0] = _residues(np.array(col, object), primes)
-    residues = []
-    for j in range(k + 1, N + 1):
-        # Uj = (U(j-1) - C(j-1)) * (s*e + V), at j = N only its scalar part
-        # (s*w, or s*<w>_0, plus the matmul); then Cj = (N/j) * <Uj>_0.
-        wc = wp.astype(carrier, copy=False)
-        out = wc @ (right if j < N else dot)
-        if column is not None:
-            out += column * wc[:, :, :out.shape[-1]]
-        out = out.astype(np.int64, copy=False) % p
-        s = out[:, :, 0]
-        c = s * ratios[:, j:j + 1] % primes
-        residues.append(c)
-        if j < N:
-            out[:, :, 0] = (s - c) % primes
-            wp = out
-    values = _rebuild(np.concatenate(residues, axis=1), count)
-
-    @cache
-    def penult():
-        # W = U(N-1) - C(N-1), rebuilt once, and only for a caller that
-        # reads it.
-        values = _rebuild(wp.reshape(len(primes), -1), count)
-        return np.array(values, object).reshape(B, sig.dim)
-
-    return [values[i:i + B] for i in range(0, (N - k) * B, B)], penult
-
-
 def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     """The recursion on B rows s*e + V at once: V the one row of a slot
     (stack, top, scale) of ``algebra._slots``, in float64 when top is None,
     else integers, and s each integer of ``shifts`` (one row, s = 0, when
     None), with top >= max|V| and top >= |s + V_0|.  Returns ([C1 of each
     row, ..., CN of each row], penult) with penult() the (B, 2**n) array W
-    of V(N-1) - C(N-1)*e, the negated adjugate; the modular route rebuilds
-    it only on that call.  The recursion is not a product of slots, so the
-    caller divides Ck(V) by its own scale**k.  Where an integer step first
-    leaves int64 with a product step still to come, the rest takes the
-    modular route when n and the prime count allow (module docstring)."""
+    of V(N-1) - C(N-1)*e, the negated adjugate.  The recursion is not a
+    product of slots, so the caller divides Ck(V) by its own scale**k.
+
+    Steps 1..N-1 are one loop over the rings of the module docstring:
+    float64, the integers, and GF(p) from the first integer step that
+    leaves int64 with a product step still to come, when n and the prime
+    count allow.  In GF(p), w has a leading prime axis, and the Ck and W
+    found there are rebuilt by CRT: the Ck at the end, W only when
+    penult() is called."""
     v, top, _ = slot
     N = sig.N
+    rows, column = v, None
+    if shifts is not None:
+        # |s| <= 2 * top, so an int64 column whenever a step's bound is
+        # below 2**63; times a float64 or object w it takes w's dtype.
+        column = np.array(shifts, _int_dtype(2 * top))[:, None]
+        rows = v.astype(column.dtype).repeat(len(shifts), axis=0)
+        rows[:, :1] += column
     coeffs = []
     # carrier dtype -> R with w @ R = w * V; each row of w times its own row
     # s*e + V is then s*w + w @ R.
     right = {}
-    penult = None
+    # The float64 ring's carrier; an integer step picks its own, and the
+    # GF(p) ring keeps the one it picks on entry.
+    carrier = np.float64
     modular = sig.n >= _MODULAR_MIN_N
+    # The GF(p) ring, once entered: its prime column (the check prime last),
+    # N/j mod p in column j, and the index in coeffs of its first Ck.
+    primes = ratios = start = None
+    last = None
 
     def factor(carrier):
         if carrier not in right:
             # A step on int64 or float64 holds V exactly, so the two share
             # one gather per run.
             shared = None if carrier is object else right.get(np.int64, right.get(np.float64))
-            right[carrier] = (sig._right_factors(v.astype(carrier, copy=False))[0]
+            right[carrier] = (sig._right_factors(v.astype(carrier, copy=False))[..., 0, :, :]
                               if shared is None else shared.astype(carrier))
         return right[carrier]
 
     def step(w, k):
         # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
-        nonlocal penult, modular
-        if top is None:
+        nonlocal v, column, carrier, modular, primes, ratios, start, last
+        if primes is not None:
+            ck = w[..., 0] * ratios[:, k:k + 1] % primes
+            col = (w[..., 0] - ck) % primes
+        elif top is None:
             ck = (N / k) * w[:, 0]
-            col, dtype = w[:, 0] - ck, w.dtype
-            carrier = dtype
-            ck = ck.tolist()
+            col, ck = w[:, 0] - ck, ck.tolist()
         else:
-            sp = w[:, 0].tolist()
-            ck = []
+            sp, ck = w[:, 0].tolist(), []
             for s in sp:
                 c, rem = divmod(N * s, k)
                 if rem:
@@ -375,47 +327,58 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
                 ck.append(c)
             col = [s - c for s, c in zip(sp, ck)]
             # The product bound of the algebra module docstring, for the
-            # product or the dot product below; s*w and w * V each stay
-            # under it (module docstring).
+            # product or the dot product below, shifts included (module
+            # docstring).
             bound = max(1, _max_abs(w), *map(abs, col)) * top << sig.n
             carrier = _int_dtype(bound, len(w) << (sig.n if k == N - 1 else 2 * sig.n))
             dtype = np.int64 if carrier is np.float64 else carrier
+            if carrier is object and modular and k < N - 1:
+                modular = False
+                count = _prime_count(_modular_bound(sig, rows, top, k))
+                if count < len(_PRIMES):
+                    primes, _, _, inverses = _crt_table(count)
+                    ratios, start, dtype = N * inverses % primes, k, np.int64
+                    w, col = _residues(w, primes), _residues(np.array(col, object), primes)
+                    carrier = _int_dtype(_PRIMES[0] * top * (sig.dim + 2), col.size << 2 * sig.n)
+                    if carrier is not np.float64:
+                        # Past float64: V and the shifts mod p, and the
+                        # gather of V's residues in int64.
+                        carrier, v = np.int64, _residues(v, primes)
+                        column = None if column is None else _residues(column, primes)
+                        right.clear()
+            w = w.astype(dtype, copy=False)
         coeffs.append(ck)
-        if dtype is object and modular and k < N - 1:
-            modular = False
-            count = _prime_count(_modular_bound(sig, rows, top, k))
-            if count < len(_PRIMES):
-                rest, penult = _fl_modular(sig, slot, w, col, k, count, column, factor)
-                coeffs.extend(rest)
-                return None
-        w = w.astype(dtype)
-        w[:, 0] = col
+        w[..., 0] = col
         wc = w.astype(carrier, copy=False)
         if k == N - 1:
-            # CN needs only <UN>_0, a dot product over the blades.
-            penult = lambda w=w: w
-            out = (wc * rows.astype(carrier, copy=False)) @ sig._square_signs
+            # CN needs only <UN>_0 = <W * V>_0 + s*<W>_0.
+            last = w
+            out = wc @ (v.swapaxes(-1, -2) * sig._square_signs).astype(carrier, copy=False)
         else:
             # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
             out = wc @ factor(carrier)
-            if column is not None:
-                out += column * wc
-        return out.astype(dtype, copy=False)
+        if column is not None:
+            out += column * (wc[..., :1] if k == N - 1 else wc)
+        out = out.astype(w.dtype, copy=False)
+        return out if primes is None else out % primes[:, :, None]
 
-    rows, column = v, None
-    if shifts is not None:
-        # |s| <= 2 * top, so an int64 column whenever a step's bound is
-        # below 2**63; times a float64 or object w it takes w's dtype.
-        column = np.array(shifts, _int_dtype(2 * top))[:, None]
-        rows = v.astype(column.dtype).repeat(len(shifts), axis=0)
-        rows[:, :1] += column
-    w = rows
+    w = rows.copy()
     for k in range(1, N):
         w = step(w, k) if top is not None else _in_double_range(
             "a float step of the trace recursion", step, w, k)
-        if w is None:
-            return coeffs, penult
-    coeffs.append(w[:, 0].tolist())  # CN = (N/N) * <UN>_0
+    cn = w[..., 0]  # CN = (N/N) * <UN>_0
+    if primes is None:
+        return coeffs + [cn.tolist()], lambda: last
+    count, B = len(primes) - 1, len(rows)
+    values = _rebuild(np.concatenate(coeffs[start:] + [cn], axis=1), count)
+    coeffs[start:] = [values[i:i + B] for i in range(0, len(values), B)]
+
+    @cache
+    def penult():
+        # W, rebuilt once, and only for a caller that reads it.
+        values = _rebuild(last.reshape(len(primes), -1), count)
+        return np.array(values, object).reshape(B, sig.dim)
+
     return coeffs, penult
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import gadet
@@ -84,14 +87,45 @@ def elementary_descending(ys, j: int):
     return total
 
 
+@cache
+def _blade_pairs(sig: Signature) -> list[tuple[int, int, int, int]]:
+    """(i, j, i ^ j, sign(i, j)) for every blade pair, from ``_blade_product``."""
+    return [(i, j, *sig._blade_product(i, j)) for i in range(sig.dim) for j in range(sig.dim)]
+
+
 def product_by_definition(u, v):
     """Reference u * v by the literal definition: the sum over every blade
     pair (i, j) of u_i * v_j * sign(i, j) on blade i ^ j, one term at a time."""
-    sig = u.sig
-    coeffs = [0] * sig.dim
-    v_coeffs = v.coeffs
-    for i, a in enumerate(u.coeffs):
-        for j, b in enumerate(v_coeffs):
-            k, sign = sig._blade_product(i, j)
-            coeffs[k] += sign * a * b
-    return Multivector(sig, coeffs)
+    coeffs = [0] * u.sig.dim
+    a, b = u.coeffs, v.coeffs
+    for i, j, k, sign in _blade_pairs(u.sig):
+        coeffs[k] += sign * a[i] * b[j]
+    return Multivector(u.sig, coeffs)
+
+
+def _numerators(x: list) -> tuple[list, int]:
+    """Exact values as integer numerators over their common denominator."""
+    d = math.lcm(*(Fraction(c).denominator for c in x))
+    return [int(c * d) for c in x], d
+
+
+def fl_by_definition(u):
+    """Reference trace recursion by its definition, on exact values in
+    Fractions: U1 = u, Ck = (N/k) * <Uk>_0, U(k+1) = (Uk - Ck) * u, each
+    product by ``product_by_definition`` on the two factors' integer
+    numerators, divided by their denominators.  Returns [C1, ..., CN] and
+    [U1 - C1, ..., U(N-1) - C(N-1)] as lists of Fractions; the last is the
+    negated adjugate."""
+    sig, N = u.sig, u.sig.N
+    num, dv = _numerators(u.coeffs)
+    v = Multivector(sig, num)
+    x, coeffs, rests = [Fraction(c) for c in u.coeffs], [], []
+    for k in range(1, N + 1):
+        c = Fraction(N, k) * x[0]
+        coeffs.append(c)
+        if k == N:
+            return coeffs, rests
+        x = [x[0] - c] + x[1:]
+        rests.append(x)
+        num, dx = _numerators(x)
+        x = [Fraction(y, dx * dv) for y in product_by_definition(Multivector(sig, num), v).coeffs]

@@ -27,8 +27,8 @@ from gadet import (
 )
 from gadet import charpoly
 from gadet.cli import METHODS
-from helpers import (MATRIX_ORACLE, SIGNATURES, forbid, product_by_definition, random_mvs,
-                     same_typed)
+from helpers import (MATRIX_ORACLE, SIGNATURES, fl_by_definition, forbid, product_by_definition,
+                     random_mvs, same_typed)
 
 
 def test_identity_coefficients_are_binomial():
@@ -326,15 +326,24 @@ def test_stack_int64_guard_is_exact_at_its_boundary():
 
 
 def spy_modular(monkeypatch) -> list:
-    """Record (k, prime count) of each entry into the modular route."""
-    switches = []
-    modular = charpoly._fl_modular
+    """Record (k, prime count) of each entry into the GF(p) ring: k is the
+    step whose bound sent the recursion there, and the count is read off the
+    prime column (the check prime last) that first reduces Uk - Ck."""
+    steps, switches = [], []
+    modular_bound, residues = charpoly._modular_bound, charpoly._residues
 
-    def spy(sig, slot, w, col, k, count, *rest):
-        switches.append((k, count))
-        return modular(sig, slot, w, col, k, count, *rest)
+    def spy_bound(sig, v, top, k):
+        steps.append(k)
+        return modular_bound(sig, v, top, k)
 
-    monkeypatch.setattr(charpoly, "_fl_modular", spy)
+    def spy_residues(x, primes):
+        if steps:
+            switches.append((steps.pop(), len(primes) - 1))
+            steps.clear()
+        return residues(x, primes)
+
+    monkeypatch.setattr(charpoly, "_modular_bound", spy_bound)
+    monkeypatch.setattr(charpoly, "_residues", spy_residues)
     return switches
 
 
@@ -437,51 +446,59 @@ def test_modular_route_refuses_a_broken_product(monkeypatch):
     assert switches[0][0] == 1
 
 
-def test_modular_step_carrier_is_exact_at_its_boundary():
+def test_modular_step_carrier_is_exact_at_its_boundary(monkeypatch):
     # A GF(p) step multiplies by the run's own right factor R(V) on float64
     # while p * top * (2**n + 2) < 2**53, p the largest prime; else by the
-    # gather of V's residues in int64.  From U5 - C5 = -8! on every blade,
-    # whose residue p - 8! is odd modulo every prime, and V_A = sign(A, A) * c
-    # but V_0 = c - 1, the next step's scalar part sums 64 products to
-    # (p - 8!) * (64c - 1), odd.  c = 508399 puts the bound just below 2**53;
-    # c = 1016801 puts it between 2**53 and 2**54 and that sum above 2**53,
-    # where float64 would round it.  The rows s*e + V of interp take the
-    # same bound: s = -c keeps the sum of the matmul above 2**53.
+    # gather of V's residues in int64.  With V_A = sign(A, A) * c but
+    # V_0 = c - 1, the scalar part of a residue row r times V is
+    # c * sum(r) - r_0, sum(r) a sum of 64 residues in [0, p).  c = 508399
+    # puts the bound just below 2**53; c = 1016801 puts it between 2**53 and
+    # 2**54 and some of those sums odd and above 2**53, where float64 would
+    # round them.  The rows s*e + V of interp take the same bound: s = -c
+    # keeps the sum of the matmul above 2**53.
     sig = Signature(6, 0)
-    N, k, count = sig.N, 5, 6
-    primes = charpoly._PRIMES[:count + 1]
+    N = sig.N
     squares = [sig._blade_product(i, i)[1] for i in range(sig.dim)]
+    switches = spy_modular(monkeypatch)
+    gathers, picks = [], []
+    right_factors, int_dtype = Signature._right_factors, charpoly._int_dtype
+    monkeypatch.setattr(Signature, "_right_factors",
+                        lambda self, b: gathers.append(b.shape) or right_factors(self, b))
+
+    def pick(bound, multiplies=0):
+        picks.append((bound, int_dtype(bound, multiplies)))
+        return picks[-1][1]
+
+    monkeypatch.setattr(charpoly, "_int_dtype", pick)
     for c, shared in ((508399, True), (1016801, False)):
-        assert (max(primes) * c * (sig.dim + 2) < 2 ** 53) == shared
-        assert max(primes) * c * (sig.dim + 2) < 2 ** 54
-        assert all((p - 40320) * (64 * c - 1) % 2 == 1 for p in primes)
-        assert shared or all((p - 40320) * (64 * c - 1) > 2 ** 53 for p in primes)
+        bound = max(charpoly._PRIMES) * c * (sig.dim + 2)
+        assert (bound < 2 ** 53) == shared and bound < 2 ** 54
         v = [c - 1] + [s * c for s in squares[1:]]
-        for shifts in ([0], [0, -c]):
-            requests = []
-
-            def factor(dtype):
-                requests.append(dtype)
-                return sig._right_factors(np.array([v], dtype))[0]
-
-            w = np.full((len(shifts), sig.dim), -40320)
-            coeffs, penult = charpoly._fl_modular(
-                sig, (np.array([v]), c, 1), w, [-40320] * len(shifts), k, count,
-                np.array(shifts)[:, None] if len(shifts) > 1 else None, factor)
-            assert requests == ([np.float64] if shared else [])
-            # The recursion on each row by the definition of the product.
-            expected, rows = [], []
-            for s in shifts:
-                x, u = Multivector(sig, w[0].tolist()), Multivector(sig, [s + v[0]] + v[1:])
-                cs = []
-                for j in range(k + 1, N):
-                    y = product_by_definition(x, u)
-                    cj, rem = divmod(N * y.scalar_part(), j)
-                    assert rem == 0
-                    cs.append(cj)
-                    x = y - cj
-                expected.append(cs + [product_by_definition(x, u).scalar_part()])
-                rows.append(list(x.coeffs))
+        for shifts in (None, [0, -c]):
+            del switches[:], gathers[:], picks[:]
+            coeffs, penult = charpoly._fl_stack(sig, (np.array([v]), c, 1), shifts)
+            [(k, count)] = switches
+            primes = charpoly._PRIMES[:count + 1]
+            # The GF(p) ring's pick: float64 on one gather of V, shared with
+            # the integer steps, or int64 on a second one, of V's residues.
+            assert [dtype for b, dtype in picks if b == bound] == [
+                np.float64 if shared else np.int64]
+            assert gathers == [(1, sig.dim)] + ([] if shared else [(len(primes), 1, sig.dim)])
+            # The recursion on each row by its definition.
+            expected, rows, above = [], [], False
+            for s in shifts or [0]:
+                u = Multivector(sig, [s + v[0]] + v[1:])
+                cs, rests = fl_by_definition(u)
+                expected.append(cs)
+                rows.append(rests[-1])
+                # The scalar part of each GF(p) step's matmul, <r * V>_0,
+                # summed exactly for the residues r of Uj - Cj.
+                for rest in rests[k - 1:]:
+                    for p in primes:
+                        sum_ = sum(q * (int(x) % p) * y for q, x, y in zip(squares, rest, v))
+                        above |= sum_ > 2 ** 53 and sum_ % 2 == 1
+            assert above != shared
+            assert k < N - 1
             assert coeffs == [list(cj) for cj in zip(*expected)]
             assert penult().tolist() == rows
 
@@ -516,8 +533,9 @@ def test_rational_run_gathers_once_and_rebuilds_only_what_it_reads(monkeypatch):
 
 def test_modular_route_matches_object_dtype(monkeypatch):
     # Every exact result, and float interp, in value and type, with the
-    # modular route and without it (object dtype throughout).  The inputs
-    # enter the route at most of its steps.
+    # modular route and without it (object dtype throughout), and at n >= 5,
+    # where the route runs, against the recursion by its definition.  The
+    # inputs enter the route at most of its steps.
     r = random.Random(23)
     inputs = []
     for sig in SIGNATURES:
@@ -540,22 +558,53 @@ def test_modular_route_matches_object_dtype(monkeypatch):
         except NotInvertibleError as exc:  # +-10**12 rows can be singular
             return (exc.det,)
 
-    def results():
+    def results(u):
         out = []
-        for u in inputs:
-            if not u.is_float:
-                out += [(det_fl(u),), fl_coefficients(u).coeffs, adjugate(u).coeffs,
-                        inverse_or_det(u)]
-            out.append(charpoly_interp(u).coeffs)
-        return out
+        if not u.is_float:
+            out += [(det_fl(u),), fl_coefficients(u).coeffs, adjugate(u).coeffs,
+                    inverse_or_det(u)]
+        return out + [charpoly_interp(u).coeffs]
+
+    def by_definition(u):
+        # The same list from the recursion on Fractions, which shares no
+        # step with the route or the object-dtype steps.
+        coeffs, rests = fl_by_definition(u.to_exact())
+        cp = CharPoly(u.sig, tuple(coeffs))
+        if u.is_float:
+            return [cp.to_float().coeffs]
+        adj = Multivector(u.sig, [-x for x in rests[-1]])
+        inv = Multivector(u.sig, [Fraction(x) / cp.det for x in adj.coeffs]).coeffs if cp.det else (0,)
+        return [(cp.det,), cp.coeffs, adj.coeffs, inv, cp.coeffs]
 
     switches = spy_modular(monkeypatch)
-    modular = results()
+    modular = [results(u) for u in inputs]
     assert len({k for k, _ in switches}) >= 5
+    for u, got in zip(inputs, modular):
+        if u.sig.n >= 5:
+            assert all(map(same_typed, got, by_definition(u))), u
     monkeypatch.setattr(charpoly, "_MODULAR_MIN_N", 7)
     count = len(switches)
-    assert all(map(same_typed, modular, results()))
+    assert all(map(same_typed, modular, [results(u) for u in inputs]))
     assert len(switches) == count
+
+
+@pytest.mark.parametrize("sig", [Signature(5, 0), Signature(3, 3)])
+def test_object_tail_past_the_prime_cap(monkeypatch, sig):
+    # 900-bit integer rows need about 259 primes at n >= 5, past the route's
+    # cap of 63, so the recursion stays on the integers, in object dtype, to
+    # its last step.  Interp takes about 0.3 s at G(5,0) and 1.2 s at G(3,3),
+    # so it is checked at G(5,0) only.
+    switches = spy_modular(monkeypatch)
+    r = random.Random(37)
+    u = Multivector(sig, (r.randint(-2 ** 900, 2 ** 900) for _ in range(sig.dim)))
+    det, cp = det_matrix(u), charpoly_matrix(u).coeffs
+    assert same_typed([det_fl(u)], [det])
+    assert same_typed(fl_coefficients(u).coeffs, cp)
+    adj = adjugate(u)
+    assert u * adj == adj * u == det * sig.identity
+    if sig.n == 5:
+        assert same_typed(charpoly_interp(u).coeffs, cp)
+    assert switches == []
 
 
 def test_recursion_refuses_a_non_integer_coefficient(monkeypatch):

@@ -193,12 +193,12 @@ def test_matrix_oracle_never_uses_the_algebra_product(monkeypatch):
 
     monkeypatch.setattr(Multivector, "_geometric_product", forbidden)
     # The product table's gather, the stack product kernel, the float range
-    # check, fl's stack kernel and its modular route, and the term-tree
-    # evaluator.
+    # check, fl's step loop and its GF(p) ring's CRT rebuild, and the
+    # term-tree evaluator.
     monkeypatch.setattr(Signature, "_right_factors", forbidden)
     forbid(monkeypatch, (algebra._slots, algebra._product,
                          algebra._in_double_range, charpoly._fl_stack,
-                         charpoly._fl_modular, formulas.evaluate_terms),
+                         charpoly._rebuild, formulas.evaluate_terms),
            "the matrix oracle must not use the other methods' kernels")
     # The oracle picks its integer dtypes with _int_dtype, but never the
     # float64 carrier of the products it checks.
