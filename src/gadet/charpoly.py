@@ -78,9 +78,8 @@ which holds because every blade matrix of the representation is unitary
 construction), so every eigenvalue of beta(V) has |lambda| <= S.  One
 more prime checks each rebuild: a value that disagrees with its residue
 there raises ConsistencyError, as a non-integer Ck or a bound too small
-would make it; the ring never falls back silently.  It is entered from n
-and the prime count alone: n >= 5 and at most 63 primes, the table's
-length less the check prime; otherwise the steps go on in object dtype.
+would make it; the ring never falls back silently.  It takes as many
+primes as the bound needs, found on first use.
 
 fl_coefficients on integer rows with b-bit coefficients (2-vCPU x86-64
 VM, mean over five inputs of the best of five calls, ms, two runs; "k" is
@@ -92,15 +91,17 @@ the step that leaves int64, "R(V)" a route on the shared float64 factor,
     n=5  G(5,0)  b=7    k=6  4  R(V)      object 0.11-0.13  route 0.10-0.15
     n=5  G(5,0)  b=16   k=3  6  R(V)      object 0.37-0.54  route 0.13-0.16
     n=5  G(5,0)  b=96   k=1  29 res       object 0.85-1.12  route 0.43-0.58
+    n=5  G(5,0)  b=300  k=1  87 res       object 5.2-5.5    route 1.4-2.2
+    n=5  G(5,0)  b=900  k=1  259 res      object 19-35      route 6.5-10.3
     n=6  G(6,0)  b=7    k=6  4  R(V)      object 0.40-0.62  route 0.16-0.20
     n=6  G(6,0)  b=16   k=3  7  R(V)      object 1.41-2.04  route 0.22-0.27
     n=6  G(6,0)  b=96   k=1  29 res       object 4.0-5.8    route 1.05-1.89
     n=6  G(6,0)  b=200  k=1  59 res       object 7.7-12.5   route 3.9-4.2
+    n=6  G(6,0)  b=300  k=1  88 res       object 11-22      route 3.8-5.9
+    n=6  G(6,0)  b=900  k=1  259 res      object 79-85      route 14.6-16.1
 
-(the n = 4 rows force the route).  The route caps at 63 primes: b = 900
-needs 259, so it runs in object dtype, 20-35 ms at G(5,0) and 86-134 ms at
-G(6,0), and so does b = 600 at G(4,0).  At n <= 4 the route loses or ties
-(0.7-1.0x); at n = 5 and 6 it wins from 4 primes up to that cap.
+(the n = 4 rows force the route).  At n <= 4 the route loses or ties
+(0.7-1.0x); at n = 5 and 6 it wins from 4 primes up.
 """
 
 from __future__ import annotations
@@ -176,22 +177,27 @@ class CharPoly:
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
 
-#: Primes below 2**28, the largest first; the route uses up to 63 of them
-#: and the next as a check.  (2**6 + 1) * p**2 < 2**63, so an int64 step
-#: of the recursion over GF(p), shift included, stays exact at every n; a
-#: test checks both this and that each entry is prime.
-_PRIMES = (
-    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
-    268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
-    268435129, 268435121, 268435109, 268435091, 268435067, 268435043, 268435039,
-    268435033, 268435019, 268435009, 268435007, 268434997, 268434979, 268434977,
-    268434961, 268434949, 268434941, 268434937, 268434857, 268434841, 268434827,
-    268434821, 268434787, 268434781, 268434779, 268434773, 268434731, 268434721,
-    268434713, 268434707, 268434703, 268434697, 268434659, 268434623, 268434619,
-    268434581, 268434577, 268434563, 268434557, 268434547, 268434511, 268434499,
-    268434479, 268434461, 268434401, 268434391, 268434389, 268434373, 268434289,
-    268434281,
-)
+_PRIMES: list[int] = []
+
+
+def _primes(count: int) -> list[int]:
+    """``_PRIMES``, the primes below 2**28 largest first, extended to
+    ``count`` entries or more: each odd p in turn is kept when it is a strong
+    probable prime to the bases 2, 3, 5 and 7, exact below 3.2 * 10**9
+    (Jaeschke, *Math. Comp.* 61, 1993).  (2**6 + 1) * p**2 < 2**63 keeps an
+    int64 step over GF(p), shift included, exact at every n."""
+    p = _PRIMES[-1] if _PRIMES else 2 ** 28 + 1
+    while len(_PRIMES) < count:
+        p -= 2
+        s = (p - 1 & 1 - p).bit_length() - 1  # p - 1 = d * 2**s, d odd
+        # A Fermat test to base 2 first: one pow rejects most composites.
+        if pow(2, p - 1, p) == 1 and all(
+                pow(a, p - 1 >> s, p) == 1
+                or any(pow(a, p - 1 >> i, p) == p - 1 for i in range(1, s + 1))
+                for a in (2, 3, 5, 7)):
+            _PRIMES.append(p)
+    return _PRIMES
+
 
 #: The smallest n that takes the modular route: at n <= 4 object dtype is
 #: faster at every prime count measured (the module docstring's table).
@@ -204,7 +210,7 @@ def _crt_table(count: int):
     int64 column; their product M without the check prime; the CRT
     coefficients (M/p) * ((M/p)**-1 mod p) of the ``count`` primes, as an
     object array; and k**-1 mod each prime for k = 1..8 (column 0 unused)."""
-    primes = _PRIMES[:count + 1]
+    primes = _primes(count + 1)[:count + 1]
     modulus = math.prod(primes[:count])
     crt = np.array([modulus // p * pow(modulus // p, -1, p) for p in primes[:count]], object)
     inverses = np.array([[0] + [pow(k, -1, p) for k in range(1, 9)] for p in primes])
@@ -212,14 +218,12 @@ def _crt_table(count: int):
 
 
 def _prime_count(bound: int) -> int:
-    """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound;
-    len(_PRIMES) when all but the check prime fall short."""
-    product = 1
-    for count, p in enumerate(_PRIMES[:-1], 1):
-        product *= p
-        if product > 2 * bound:
-            return count
-    return len(_PRIMES)
+    """The fewest primes of ``_PRIMES`` whose product exceeds 2 * bound."""
+    count, product = 0, 1
+    while product <= 2 * bound:
+        product *= _primes(count + 1)[count]
+        count += 1
+    return count
 
 
 def _modular_bound(sig: Signature, v: np.ndarray, top: int, k: int) -> int:
@@ -272,11 +276,10 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     product of slots, so the caller divides Ck(V) by its own scale**k.
 
     Steps 1..N-1 are one loop over the rings of the module docstring:
-    float64, the integers, and GF(p) from the first integer step that
-    leaves int64 with a product step still to come, when n and the prime
-    count allow.  In GF(p), w has a leading prime axis, and the Ck and W
-    found there are rebuilt by CRT: the Ck at the end, W only when
-    penult() is called."""
+    float64, the integers, and, at n >= ``_MODULAR_MIN_N``, GF(p) from the
+    first integer step that leaves int64 with a product step still to come.
+    In GF(p), w has a leading prime axis, and the Ck and W found there are
+    rebuilt by CRT: the Ck at the end, W only when penult() is called."""
     v, top, _ = slot
     N = sig.N
     rows, column = v, None
@@ -293,11 +296,9 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     # The float64 ring's carrier; an integer step picks its own, and the
     # GF(p) ring keeps the one it picks on entry.
     carrier = np.float64
-    modular = sig.n >= _MODULAR_MIN_N
     # The GF(p) ring, once entered: its prime column (the check prime last),
     # N/j mod p in column j, and the index in coeffs of its first Ck.
-    primes = ratios = start = None
-    last = None
+    primes = ratios = start = last = None
 
     def factor(carrier):
         if carrier not in right:
@@ -310,7 +311,7 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
 
     def step(w, k):
         # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
-        nonlocal v, column, carrier, modular, primes, ratios, start, last
+        nonlocal v, column, carrier, primes, ratios, start, last
         if primes is not None:
             ck = w[..., 0] * ratios[:, k:k + 1] % primes
             col = (w[..., 0] - ck) % primes
@@ -332,20 +333,18 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
             bound = max(1, _max_abs(w), *map(abs, col)) * top << sig.n
             carrier = _int_dtype(bound, len(w) << (sig.n if k == N - 1 else 2 * sig.n))
             dtype = np.int64 if carrier is np.float64 else carrier
-            if carrier is object and modular and k < N - 1:
-                modular = False
+            if carrier is object and sig.n >= _MODULAR_MIN_N and k < N - 1:
                 count = _prime_count(_modular_bound(sig, rows, top, k))
-                if count < len(_PRIMES):
-                    primes, _, _, inverses = _crt_table(count)
-                    ratios, start, dtype = N * inverses % primes, k, np.int64
-                    w, col = _residues(w, primes), _residues(np.array(col, object), primes)
-                    carrier = _int_dtype(_PRIMES[0] * top * (sig.dim + 2), col.size << 2 * sig.n)
-                    if carrier is not np.float64:
-                        # Past float64: V and the shifts mod p, and the
-                        # gather of V's residues in int64.
-                        carrier, v = np.int64, _residues(v, primes)
-                        column = None if column is None else _residues(column, primes)
-                        right.clear()
+                primes, _, _, inverses = _crt_table(count)
+                ratios, start, dtype = N * inverses % primes, k, np.int64
+                w, col = _residues(w, primes), _residues(np.array(col, object), primes)
+                carrier = _int_dtype(_PRIMES[0] * top * (sig.dim + 2), col.size << 2 * sig.n)
+                if carrier is not np.float64:
+                    # Past float64: V and the shifts mod p, and the gather
+                    # of V's residues in int64.
+                    carrier, v = np.int64, _residues(v, primes)
+                    column = None if column is None else _residues(column, primes)
+                    right.clear()
             w = w.astype(dtype, copy=False)
         coeffs.append(ck)
         w[..., 0] = col

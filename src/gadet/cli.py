@@ -13,9 +13,9 @@ Multivector expression grammar::
     number := digits | digits '/' digits | decimal
     decimal := digits '.' digits ['e' sign digits] | digits 'e' sign digits
 
-Numbers parse to exact rationals; decimals keep their exact decimal value.
-They are summed exactly, as integer numerators over one running denominator.
-A bare exponent requires an explicit sign so that '2e1' stays 2 * e_1.
+Digits are ASCII 0-9 and whitespace ASCII.  Numbers are exact rationals,
+decimals at their exact value, summed as numerators over one running
+denominator.  A bare exponent needs a sign, so '2e1' stays 2 * e_1.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _TERM = re.compile(
        \s*(?P<star>\*)?\s*)?
     (?P<blade>e\d+)?\s*
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

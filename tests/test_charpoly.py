@@ -365,34 +365,23 @@ def test_interp_stack_with_rows_of_different_dtypes(monkeypatch):
         assert len(switches) == count + (sig.n >= 5)
 
 
-def _is_prime(p: int) -> bool:
-    # Deterministic Miller-Rabin: these bases decide every p < 3.4 * 10**14.
-    if p < 2:
-        return False
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17):
-        if a % p == 0:
-            continue
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def test_modular_primes_are_prime_and_keep_a_step_in_int64():
-    primes = charpoly._PRIMES
-    assert len(set(primes)) == len(primes) == 64
-    assert not _is_prime(268435457) and _is_prime(268435399)  # 2**28 + 1 = 17 * 15790321
-    for p in primes:
-        assert _is_prime(p), p
+    # The supply against trial division, which shares nothing with its own
+    # primality test: every composite below 2**28 has a factor below 2**14.
+    # The first 300 primes are then every prime below 2**28, in turn; the
+    # 64th pins the primes, and so the CRT tables, of every run that needs
+    # at most 63.
+    small = [q for q in range(2, 2 ** 14) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+
+    def is_prime(x):
+        return all(x % q for q in small)
+
+    assert not is_prime(2 ** 28 + 1) and is_prime(268435399)  # 2**28 + 1 = 17 * 15790321
+    primes = charpoly._primes(300)[:300]
+    assert primes[0] == 268435399 and primes[63] == 268434281
+    for above, p in zip([2 ** 28 + 1] + primes, primes):
+        assert p < above and is_prime(p), p
+        assert not any(map(is_prime, range(p + 2, above, 2))), p
         # An int64 GF(p) step sums 2**n products below p**2, n <= 6, and
         # interp's shift times a residue, also below p**2.
         assert p < 2 ** 28 and (2 ** 6 + 1) * p * p < 2 ** 63
@@ -408,7 +397,7 @@ def test_modular_route_is_exact_at_its_bound(monkeypatch, sig):
     # raise or give another value.
     switches = spy_modular(monkeypatch)
     N = sig.N
-    six = math.prod(charpoly._PRIMES[:6])
+    six = math.prod(charpoly._primes(6)[:6])
     s = round(six ** (1 / N))
     while s ** N > six:
         s -= 1
@@ -471,7 +460,7 @@ def test_modular_step_carrier_is_exact_at_its_boundary(monkeypatch):
 
     monkeypatch.setattr(charpoly, "_int_dtype", pick)
     for c, shared in ((508399, True), (1016801, False)):
-        bound = max(charpoly._PRIMES) * c * (sig.dim + 2)
+        bound = charpoly._primes(1)[0] * c * (sig.dim + 2)
         assert (bound < 2 ** 53) == shared and bound < 2 ** 54
         v = [c - 1] + [s * c for s in squares[1:]]
         for shifts in (None, [0, -c]):
@@ -589,22 +578,23 @@ def test_modular_route_matches_object_dtype(monkeypatch):
 
 
 @pytest.mark.parametrize("sig", [Signature(5, 0), Signature(3, 3)])
-def test_object_tail_past_the_prime_cap(monkeypatch, sig):
-    # 900-bit integer rows need about 259 primes at n >= 5, past the route's
-    # cap of 63, so the recursion stays on the integers, in object dtype, to
-    # its last step.  Interp takes about 0.3 s at G(5,0) and 1.2 s at G(3,3),
-    # so it is checked at G(5,0) only.
+def test_modular_route_past_63_primes(monkeypatch, sig):
+    # 900-bit integer rows need about 259 primes at n >= 5: each run of
+    # the recursion enters the GF(p) ring at its first step and rebuilds
+    # every value by CRT from that many residues.
     switches = spy_modular(monkeypatch)
     r = random.Random(37)
     u = Multivector(sig, (r.randint(-2 ** 900, 2 ** 900) for _ in range(sig.dim)))
     det, cp = det_matrix(u), charpoly_matrix(u).coeffs
     assert same_typed([det_fl(u)], [det])
+    [(k, count)] = switches
+    assert k == 1 and count > 63
     assert same_typed(fl_coefficients(u).coeffs, cp)
     adj = adjugate(u)
     assert u * adj == adj * u == det * sig.identity
-    if sig.n == 5:
-        assert same_typed(charpoly_interp(u).coeffs, cp)
-    assert switches == []
+    assert same_typed(charpoly_interp(u).coeffs, cp)
+    # One entry per run: det_fl, fl_coefficients, adjugate and interp.
+    assert switches == [(k, count)] * 4
 
 
 def test_recursion_refuses_a_non_integer_coefficient(monkeypatch):

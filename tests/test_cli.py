@@ -113,6 +113,12 @@ _REJECTED = [
     ("1/0", 0, "zero denominator in '1/0'"),
     ("1 + 3/0", 4, "zero denominator in '3/0'"),
     ("1/0*e3", 0, "zero denominator in '1/0'"),  # the number is read first
+    # Digits and whitespace are ASCII: int() and Fraction() would read
+    # these as 1 + e1, 12 and 7/2.
+    ("1 + e\u0661", 4, "expected a number or blade, found 'e'"),
+    ("\uff11\uff12", 0, "expected a number or blade, found '\uff11'"),
+    ("\u0663.\u0665", 0, "expected a number or blade, found '\u0663'"),
+    ("1\u00a0+ e1", 1, "expected '+' or '-' between terms, found '\\xa0'"),
 ]
 
 
