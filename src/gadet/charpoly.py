@@ -51,24 +51,24 @@ the row s*e + V, stay under that bound with max|V| read as top.
 
 At n >= 5, the first integer step whose bound leaves int64, with a
 product step still to come, takes its Ck exactly and moves the rest of
-the run to GF(p) for a batch of primes p < 2**28 (von zur Gathen &
+the run to GF(p) for a batch of primes p < 2**23 (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 5): every later step is
 one matmul over all primes, the prime axis a batch of (B, 2**n) @
-(2**n, 2**n) products reduced mod p, and Ck is <Uk>_0 * (N/k mod p).  On
-entry the ring picks its right factor by the same dtype rule, applied to
-p * top * (2**n + 2), p the largest prime: each output s*w + w @ R(V)
-sums 2**n products of a residue below p and an entry of R(V) at most top,
-plus s times a residue with |s| <= 2 * top.  Below 2**53 the factor is
-the run's own gather R(V), shared with its integer steps, on float64
-(Dumas, Giorgi & Pernet, *ACM TOMS* 35(3), 2008).  Above it (max|V| past
-about 2**19 at n = 6, and float interp's 56-bit rows) V and the shifts
-are reduced mod p too, and each prime multiplies by the gather of V's
-residues in int64: (2**n + 1) * p**2 < 2**63 keeps that exact.  One
-contraction against cached Chinese-remainder coefficients rebuilds
-C(k+1)(V)..CN(V), each in (-M/2, M/2) for M the product of the primes.
-W, the 2**n values of the adjugate, is rebuilt the same way only when
-``adjugate`` or ``inverse`` reads it, so ``det_fl``, ``fl_coefficients``
-and interp's samples skip that contraction.  M exceeds twice the bound
+(2**n, 2**n) products reduced mod p, and Ck is <Uk>_0 * (N/k mod p).
+Every step runs on float64 (Dumas, Giorgi & Pernet, *ACM TOMS* 35(3),
+2008): each output s*w + w @ R sums 2**n products of a residue below p
+and an entry of the right factor R, plus s times a residue.  One bound,
+p * top * (2**n + 2) < 2**53 for p the largest prime, picks R on entry:
+below it the run's own gather R(V), shared with its integer steps (its
+entries are at most top, and |s| <= 2 * top); above it (max|V| past
+about 2**24 at n = 6, and float interp's rows) the gather of V's
+residues, V and the shifts reduced mod p, exact as (2**n + 2) * p**2 <
+2**53.  One contraction against cached Chinese-remainder coefficients
+rebuilds C(k+1)(V)..CN(V), each in (-M/2, M/2) for M the product of the
+primes.  W, the 2**n values of the adjugate, is rebuilt the same way
+only when ``adjugate`` or ``inverse`` reads it, so ``det_fl``,
+``fl_coefficients`` and interp's samples skip that contraction.  M
+exceeds twice the bound
 
     |Cj(V)| <= binom(N, j) * S**j,   |<W>_A| < 2**N * S**(N-1),
     S = max over rows of sum |V_A|,
@@ -81,34 +81,37 @@ there raises ConsistencyError, as a non-integer Ck or a bound too small
 would make it; the ring never falls back silently.  It takes as many
 primes as the bound needs, found on first use.
 
-fl_coefficients on integer rows with b-bit coefficients (2-vCPU x86-64
-VM, mean over five inputs of the best of five calls, ms, two runs; "k" is
-the step that leaves int64, "R(V)" a route on the shared float64 factor,
-"res" one on V's residues in int64; "route" is the GF(p) ring):
+fl_coefficients on integer rows with b-bit coefficients, and float
+interp on rows in [-9, 9], in ms (2-vCPU x86-64 VM, mean over five
+inputs of the best of five calls, two runs; k is the step that leaves
+int64, then the prime count and the right factor, R(V) or V's residues
+("res"); "route" is the GF(p) ring, forced at n = 4):
 
-    n=4  G(4,0)  b=48   k=1  8 primes     object 0.08-0.14  route 0.10-0.17
-    n=4  G(4,0)  b=200  k=1  29-30 primes object 0.13-0.21  route 0.20-0.21
-    n=5  G(5,0)  b=7    k=6  4  R(V)      object 0.11-0.13  route 0.10-0.15
-    n=5  G(5,0)  b=16   k=3  6  R(V)      object 0.37-0.54  route 0.13-0.16
-    n=5  G(5,0)  b=96   k=1  29 res       object 0.85-1.12  route 0.43-0.58
-    n=5  G(5,0)  b=300  k=1  87 res       object 5.2-5.5    route 1.4-2.2
-    n=5  G(5,0)  b=900  k=1  259 res      object 19-35      route 6.5-10.3
-    n=6  G(6,0)  b=7    k=6  4  R(V)      object 0.40-0.62  route 0.16-0.20
-    n=6  G(6,0)  b=16   k=3  7  R(V)      object 1.41-2.04  route 0.22-0.27
-    n=6  G(6,0)  b=96   k=1  29 res       object 4.0-5.8    route 1.05-1.89
-    n=6  G(6,0)  b=200  k=1  59 res       object 7.7-12.5   route 3.9-4.2
-    n=6  G(6,0)  b=300  k=1  88 res       object 11-22      route 3.8-5.9
-    n=6  G(6,0)  b=900  k=1  259 res      object 79-85      route 14.6-16.1
+    n=4  G(4,0)  b=48   k=1  9 res        object 0.077-0.078 route 0.093-0.095
+    n=4  G(4,0)  b=200  k=1  36 res       object 0.12-0.13   route 0.21
+    n=5  G(5,0)  b=7    k=6  4 R(V)       object 0.107       route 0.089
+    n=5  G(5,0)  b=16   k=3  7-8 R(V)     object 0.34        route 0.13
+    n=5  G(5,0)  b=96   k=1  35 res       object 0.80-0.84   route 0.40-0.42
+    n=5  G(5,0)  b=300  k=1  106 res      object 2.7-2.8     route 1.2
+    n=5  G(5,0)  b=900  k=1  315 res      object 18-19       route 6.4-7.7
+    n=6  G(6,0)  b=7    k=6  5 R(V)       object 0.37-0.46   route 0.12-0.13
+    n=6  G(6,0)  b=16   k=3  8 R(V)       object 1.19-1.20   route 0.17
+    n=6  G(6,0)  b=96   k=1  36 res       object 3.2-4.7     route 0.79-0.81
+    n=6  G(6,0)  b=200  k=1  72 res       object 6.4-9.1     route 1.8
+    n=6  G(6,0)  b=300  k=1  107 res      object 10.5-14.3   route 3.0-4.4
+    n=6  G(6,0)  b=900  k=1  315 res      object 82-90       route 13.2-14.2
+    n=6  G(6,0)  float  k=1  21 res       object 19.0-19.9   route 1.54
+    n=6  G(3,3)  float  k=1  21 res       object 18.9-19.9   route 1.53-1.56
 
-(the n = 4 rows force the route).  At n <= 4 the route loses or ties
-(0.7-1.0x); at n = 5 and 6 it wins from 4 primes up.
+At n <= 4 the route loses (0.6-0.8x); at n = 5 and 6 it wins from 4
+primes up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -181,12 +184,12 @@ _PRIMES: list[int] = []
 
 
 def _primes(count: int) -> list[int]:
-    """``_PRIMES``, the primes below 2**28 largest first, extended to
+    """``_PRIMES``, the primes below 2**23 largest first, extended to
     ``count`` entries or more: each odd p in turn is kept when it is a strong
-    probable prime to the bases 2, 3, 5 and 7, exact below 3.2 * 10**9
-    (Jaeschke, *Math. Comp.* 61, 1993).  (2**6 + 1) * p**2 < 2**63 keeps an
-    int64 step over GF(p), shift included, exact at every n."""
-    p = _PRIMES[-1] if _PRIMES else 2 ** 28 + 1
+    probable prime to the bases 2, 3 and 5, exact below 25,326,001
+    (Jaeschke, *Math. Comp.* 61, 1993).  (2**6 + 2) * p**2 < 2**53 keeps a
+    float64 step over GF(p), shift included, exact at every n."""
+    p = _PRIMES[-1] if _PRIMES else 2 ** 23 + 1
     while len(_PRIMES) < count:
         p -= 2
         s = (p - 1 & 1 - p).bit_length() - 1  # p - 1 = d * 2**s, d odd
@@ -194,7 +197,7 @@ def _primes(count: int) -> list[int]:
         if pow(2, p - 1, p) == 1 and all(
                 pow(a, p - 1 >> s, p) == 1
                 or any(pow(a, p - 1 >> i, p) == p - 1 for i in range(1, s + 1))
-                for a in (2, 3, 5, 7)):
+                for a in (2, 3, 5)):
             _PRIMES.append(p)
     return _PRIMES
 
@@ -204,7 +207,7 @@ def _primes(count: int) -> list[int]:
 _MODULAR_MIN_N = 5
 
 
-@cache
+@lru_cache(maxsize=8)  # a few prime counts: each table grows with its count
 def _crt_table(count: int):
     """The first ``count`` primes and one check prime after them, as an
     int64 column; their product M without the check prime; the CRT
@@ -293,8 +296,7 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     # carrier dtype -> R with w @ R = w * V; each row of w times its own row
     # s*e + V is then s*w + w @ R.
     right = {}
-    # The float64 ring's carrier; an integer step picks its own, and the
-    # GF(p) ring keeps the one it picks on entry.
+    # The float64 and GF(p) rings' carrier; an integer step picks its own.
     carrier = np.float64
     # The GF(p) ring, once entered: its prime column (the check prime last),
     # N/j mod p in column j, and the index in coeffs of its first Ck.
@@ -336,13 +338,11 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
             if carrier is object and sig.n >= _MODULAR_MIN_N and k < N - 1:
                 count = _prime_count(_modular_bound(sig, rows, top, k))
                 primes, _, _, inverses = _crt_table(count)
-                ratios, start, dtype = N * inverses % primes, k, np.int64
+                ratios, start, dtype, carrier = N * inverses % primes, k, np.int64, np.float64
                 w, col = _residues(w, primes), _residues(np.array(col, object), primes)
-                carrier = _int_dtype(_PRIMES[0] * top * (sig.dim + 2), col.size << 2 * sig.n)
-                if carrier is not np.float64:
-                    # Past float64: V and the shifts mod p, and the gather
-                    # of V's residues in int64.
-                    carrier, v = np.int64, _residues(v, primes)
+                if _PRIMES[0] * top * (sig.dim + 2) >= 1 << 53:
+                    # Past R(V)'s bound: reduce V and the shifts mod p; drop R(V).
+                    v = _residues(v, primes)
                     column = None if column is None else _residues(column, primes)
                     right.clear()
             w = w.astype(dtype, copy=False)

@@ -365,26 +365,26 @@ def test_interp_stack_with_rows_of_different_dtypes(monkeypatch):
         assert len(switches) == count + (sig.n >= 5)
 
 
-def test_modular_primes_are_prime_and_keep_a_step_in_int64():
+def test_modular_primes_are_prime_and_keep_a_step_exact_on_float64():
     # The supply against trial division, which shares nothing with its own
-    # primality test: every composite below 2**28 has a factor below 2**14.
-    # The first 300 primes are then every prime below 2**28, in turn; the
+    # primality test: every composite below 2**23 has a factor below 2**12.
+    # The first 300 primes are then every prime below 2**23, in turn; the
     # 64th pins the primes, and so the CRT tables, of every run that needs
     # at most 63.
-    small = [q for q in range(2, 2 ** 14) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    small = [q for q in range(2, 2 ** 12) if all(q % r for r in range(2, math.isqrt(q) + 1))]
 
     def is_prime(x):
         return all(x % q for q in small)
 
-    assert not is_prime(2 ** 28 + 1) and is_prime(268435399)  # 2**28 + 1 = 17 * 15790321
+    assert not is_prime(2 ** 23 + 1) and is_prime(8388593)  # 2**23 + 1 = 3 * 2796203
     primes = charpoly._primes(300)[:300]
-    assert primes[0] == 268435399 and primes[63] == 268434281
-    for above, p in zip([2 ** 28 + 1] + primes, primes):
+    assert primes[0] == 8388593 and primes[63] == 8387501
+    for above, p in zip([2 ** 23 + 1] + primes, primes):
         assert p < above and is_prime(p), p
         assert not any(map(is_prime, range(p + 2, above, 2))), p
-        # An int64 GF(p) step sums 2**n products below p**2, n <= 6, and
+        # A float64 GF(p) step sums 2**n products below p**2, n <= 6, and
         # interp's shift times a residue, also below p**2.
-        assert p < 2 ** 28 and (2 ** 6 + 1) * p * p < 2 ** 63
+        assert p < 2 ** 23 and (2 ** 6 + 2) * p * p < 2 ** 53
 
 
 @pytest.mark.parametrize("sig", [Signature(6, 0), Signature(0, 5)])
@@ -394,15 +394,17 @@ def test_modular_route_is_exact_at_its_bound(monkeypatch, sig):
     # the product of the first six primes and that product, so the route
     # needs a seventh.  The prime count is the fewest whose product exceeds
     # twice the bound, so one prime short cannot hold CN: the route must
-    # raise or give another value.
+    # raise or give another value.  s is not a multiple of 3, so the input
+    # s/3 keeps its denominator and V = s*e.
     switches = spy_modular(monkeypatch)
     N = sig.N
     six = math.prod(charpoly._primes(6)[:6])
     s = round(six ** (1 / N))
-    while s ** N > six:
+    while s ** N > six or s % 3 == 0:
         s -= 1
     assert six < 2 * s ** N
     u = Multivector.scalar(sig, Fraction(s, 3))
+    assert u._den == 3
     expected = tuple(-math.comb(N, k) * (-s) ** k for k in range(1, N + 1))
     cp = fl_coefficients(u)
     assert cp.coeffs == tuple(Fraction(c, 3 ** k) for k, c in enumerate(expected, 1))
@@ -436,42 +438,34 @@ def test_modular_route_refuses_a_broken_product(monkeypatch):
 
 
 def test_modular_step_carrier_is_exact_at_its_boundary(monkeypatch):
-    # A GF(p) step multiplies by the run's own right factor R(V) on float64
-    # while p * top * (2**n + 2) < 2**53, p the largest prime; else by the
-    # gather of V's residues in int64.  With V_A = sign(A, A) * c but
+    # A GF(p) step runs on float64.  It multiplies by the run's own right
+    # factor R(V) while p * top * (2**n + 2) < 2**53, p the largest prime;
+    # else by the gather of V's residues.  With V_A = sign(A, A) * c but
     # V_0 = c - 1, the scalar part of a residue row r times V is
-    # c * sum(r) - r_0, sum(r) a sum of 64 residues in [0, p).  c = 508399
-    # puts the bound just below 2**53; c = 1016801 puts it between 2**53 and
-    # 2**54 and some of those sums odd and above 2**53, where float64 would
-    # round them.  The rows s*e + V of interp take the same bound: s = -c
-    # keeps the sum of the matmul above 2**53.
+    # c * sum(r) - r_0, sum(r) a sum of 64 residues in [0, p).  c = 16268844
+    # puts the bound just below 2**53; c = 32537689 puts it between 2**53
+    # and 2**54 and some of those sums odd and above 2**53, where a float64
+    # step on R(V) would round them.  The rows s*e + V of interp take the
+    # same bound: s = -c keeps the sum of the matmul above 2**53.
     sig = Signature(6, 0)
     N = sig.N
     squares = [sig._blade_product(i, i)[1] for i in range(sig.dim)]
     switches = spy_modular(monkeypatch)
-    gathers, picks = [], []
-    right_factors, int_dtype = Signature._right_factors, charpoly._int_dtype
+    gathers = []
+    right_factors = Signature._right_factors
     monkeypatch.setattr(Signature, "_right_factors",
                         lambda self, b: gathers.append(b.shape) or right_factors(self, b))
-
-    def pick(bound, multiplies=0):
-        picks.append((bound, int_dtype(bound, multiplies)))
-        return picks[-1][1]
-
-    monkeypatch.setattr(charpoly, "_int_dtype", pick)
-    for c, shared in ((508399, True), (1016801, False)):
+    for c, shared in ((16268844, True), (32537689, False)):
         bound = charpoly._primes(1)[0] * c * (sig.dim + 2)
         assert (bound < 2 ** 53) == shared and bound < 2 ** 54
         v = [c - 1] + [s * c for s in squares[1:]]
         for shifts in (None, [0, -c]):
-            del switches[:], gathers[:], picks[:]
+            del switches[:], gathers[:]
             coeffs, penult = charpoly._fl_stack(sig, (np.array([v]), c, 1), shifts)
             [(k, count)] = switches
             primes = charpoly._PRIMES[:count + 1]
-            # The GF(p) ring's pick: float64 on one gather of V, shared with
-            # the integer steps, or int64 on a second one, of V's residues.
-            assert [dtype for b, dtype in picks if b == bound] == [
-                np.float64 if shared else np.int64]
+            # One gather of V, shared with the integer steps, and a second
+            # one, of V's residues, only past the shared factor's bound.
             assert gathers == [(1, sig.dim)] + ([] if shared else [(len(primes), 1, sig.dim)])
             # The recursion on each row by its definition.
             expected, rows, above = [], [], False
@@ -490,6 +484,61 @@ def test_modular_step_carrier_is_exact_at_its_boundary(monkeypatch):
             assert k < N - 1
             assert coeffs == [list(cj) for cj in zip(*expected)]
             assert penult().tolist() == rows
+
+
+class _MatmulLog(np.ndarray):
+    """An array that logs the (ndim, dtype) of the operands of each matmul
+    it takes part in, and passes its type on to every array made from it."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _MatmulLog) else x
+
+        inputs = tuple(map(plain, inputs))
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        if ufunc is np.matmul:
+            _MatmulLog.log.append([(x.ndim, x.dtype) for x in inputs])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(_MatmulLog) if isinstance(result, np.ndarray) else result
+
+
+def test_modular_ring_runs_on_float64(monkeypatch):
+    # Every GF(p) matmul, the one whose left operand has a prime axis, is
+    # on float64, and so is every gather of V's residues; no dtype is
+    # picked once the ring is entered.  The inputs take both right factors:
+    # dense-rational rows share R(V), 300-bit rows and float interp's rows
+    # gather V's residues.
+    switches = spy_modular(monkeypatch)
+    events, gathers = [], []
+    right_factors, residues, int_dtype = (Signature._right_factors, charpoly._residues,
+                                          charpoly._int_dtype)
+    monkeypatch.setattr(Signature, "_right_factors", lambda self, b: gathers.append(
+        (b.ndim, b.dtype)) or right_factors(self, b).view(_MatmulLog))
+    monkeypatch.setattr(charpoly, "_residues", lambda x, primes: events.append(
+        "residues") or residues(x, primes).view(_MatmulLog))
+    monkeypatch.setattr(charpoly, "_int_dtype", lambda *args: events.append(
+        "pick") or int_dtype(*args))
+    r = random.Random(31)
+    cases = []
+    for sig in (Signature(6, 0), Signature(3, 3), Signature(5, 0)):
+        d = sig.dim
+        cases += [(fl_coefficients, Multivector(sig, (Fraction(r.randint(-9, 9), r.randint(1, 9))
+                                                      for _ in range(d))), False),
+                  (fl_coefficients, Multivector(sig, (r.randint(-2 ** 300, 2 ** 300)
+                                                      for _ in range(d))), True),
+                  (charpoly_interp, Multivector(sig, (r.uniform(-9, 9) for _ in range(d))), True)]
+    for method, u, residue in cases:
+        del switches[:], events[:], gathers[:], _MatmulLog.log[:]
+        cp = method(u)
+        assert len(switches) == 1
+        assert "pick" not in events[events.index("residues"):]
+        ring = [ops for ops in _MatmulLog.log if ops[0][0] == 3]
+        assert ring and all(dtype == np.float64 for ops in ring for _, dtype in ops)
+        assert [g for g in gathers if g[0] == 3] == ([(3, np.float64)] if residue else [])
+        assert cp == charpoly_matrix(u)
 
 
 def test_rational_run_gathers_once_and_rebuilds_only_what_it_reads(monkeypatch):
@@ -595,6 +644,23 @@ def test_modular_route_past_63_primes(monkeypatch, sig):
     assert same_typed(charpoly_interp(u).coeffs, cp)
     # One entry per run: det_fl, fl_coefficients, adjugate and interp.
     assert switches == [(k, count)] * 4
+
+
+def test_crt_tables_are_kept_for_a_few_prime_counts():
+    # The CRT tables are cached for at most maxsize prime counts; a table
+    # evicted and built again is the same table.
+    table = charpoly._crt_table
+    maxsize = table.cache_info().maxsize
+    assert maxsize >= 7
+    first = table(3)
+    for count in range(4, maxsize + 6):
+        table(count)
+        assert table.cache_info().currsize <= maxsize
+    again = table(3)
+    assert again is not first
+    primes, modulus, crt, inverses = first
+    assert (again[0] == primes).all() and again[1] == modulus
+    assert again[2].tolist() == crt.tolist() and (again[3] == inverses).all()
 
 
 def test_recursion_refuses_a_non_integer_coefficient(monkeypatch):
