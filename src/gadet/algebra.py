@@ -513,6 +513,10 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw: setting the slots would raise.
+        return (Multivector._raw, (self.sig, self._row, self._den, self._float))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -38,9 +38,10 @@ rows, |s| <= 2 * top.
 
 One loop runs steps 1..N-1 in three rings, each step the same three
 parts: Ck = (N/k) * <Uk>_0; (Uk - Ck) * U as w @ R(V) plus the shift term
-s*w; and at k = N - 1 only its scalar part, CN = <W * V>_0 + s*<W>_0 with
-W = U(N-1) - C(N-1), a dot product over the blades.  Float rows run in
-float64, each step range-checked by ``algebra``'s one float check.
+s*w; and at k = N - 1 only its scalar part, CN = <W * (s*e + V)>_0 with
+W = U(N-1) - C(N-1): each row of W times its own row, a dot product over
+the blades.  Float rows run in float64, each step range-checked by
+``algebra``'s one float check.
 Integer rows run over Z: Ck is an exact division, and a Ck that is not an
 integer is an error (ConsistencyError), never a silent fall back to
 fractions.  Each step applies the dtype rule of the ``algebra`` docstring
@@ -57,18 +58,19 @@ one matmul over all primes, the prime axis a batch of (B, 2**n) @
 (2**n, 2**n) products reduced mod p, and Ck is <Uk>_0 * (N/k mod p).
 Every step runs on float64 (Dumas, Giorgi & Pernet, *ACM TOMS* 35(3),
 2008): each output s*w + w @ R sums 2**n products of a residue below p
-and an entry of the right factor R, plus s times a residue.  One bound,
+and an entry of the right factor R, plus s times a residue, and CN sums
+2**n products of a residue and an entry of its row s*e + V.  One bound,
 p * top * (2**n + 2) < 2**53 for p the largest prime, picks R on entry:
 below it the run's own gather R(V), shared with its integer steps (its
 entries are at most top, and |s| <= 2 * top); above it (max|V| past
 about 2**24 at n = 6, and float interp's rows) the gather of V's
-residues, V and the shifts reduced mod p, exact as (2**n + 2) * p**2 <
-2**53.  One contraction against cached Chinese-remainder coefficients
-rebuilds C(k+1)(V)..CN(V), each in (-M/2, M/2) for M the product of the
-primes.  W, the 2**n values of the adjugate, is rebuilt the same way
-only when ``adjugate`` or ``inverse`` reads it, so ``det_fl``,
-``fl_coefficients`` and interp's samples skip that contraction.  M
-exceeds twice the bound
+residues, V and the shifts reduced mod p, so each row entry is below p,
+or 2p at blade 0, exact as (2**n + 2) * p**2 < 2**53.  One contraction
+against cached Chinese-remainder coefficients rebuilds C(k+1)(V)..CN(V),
+each in (-M/2, M/2) for M the product of the primes.  W, the 2**n
+values of the adjugate, is rebuilt the same way only when ``adjugate`` or
+``inverse`` reads it, so ``det_fl``, ``fl_coefficients`` and interp's
+samples skip that contraction.  M exceeds twice the bound
 
     |Cj(V)| <= binom(N, j) * S**j,   |<W>_A| < 2**N * S**(N-1),
     S = max over rows of sum |V_A|,
@@ -229,7 +231,7 @@ def _prime_count(bound: int) -> int:
     return count
 
 
-def _modular_bound(sig: Signature, v: np.ndarray, top: int, k: int) -> int:
+def _modular_bound(sig: Signature, v: np.ndarray, k: int) -> int:
     """The module docstring's bound on |C(k+1)(V)|, ..., |CN(V)| and on
     each blade coefficient of W, over the rows V of v.  Adj(V) is
     C(N-1)*e + C(N-2)*V + ... - V**(N-1), so the norm of its matrix is below
@@ -237,10 +239,7 @@ def _modular_bound(sig: Signature, v: np.ndarray, top: int, k: int) -> int:
     X, Tr(beta(e_A)^H beta(X)) / N, is at most that norm, since beta(e_A)
     is unitary."""
     N = sig.N
-    if top << sig.n < 1 << 63:
-        s = int(abs(v).sum(axis=1).max())
-    else:
-        s = max(sum(map(abs, row)) for row in v.tolist())
+    s = max(map(sum, abs(v).tolist()))
     return max(max(math.comb(N, j) * s ** j for j in range(k + 1, N + 1)),
                s ** (N - 1) << N)
 
@@ -248,10 +247,9 @@ def _modular_bound(sig: Signature, v: np.ndarray, top: int, k: int) -> int:
 def _residues(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """x modulo each prime of the column ``primes``, stacked on a new first
     axis, in int64; x is an int64 or object array."""
+    # primes in x's dtype: an object x would otherwise box a prime per entry.
     shape = primes.shape[:1] + (1,) * x.ndim
-    if x.dtype == object:
-        return (x % primes.astype(object).reshape(shape)).astype(np.int64)
-    return x % primes.reshape(shape)
+    return (x % primes.astype(x.dtype, copy=False).reshape(shape)).astype(np.int64, copy=False)
 
 
 def _rebuild(residues: np.ndarray, count: int) -> list:
@@ -290,8 +288,8 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
         # |s| <= 2 * top, so an int64 column whenever a step's bound is
         # below 2**63; times a float64 or object w it takes w's dtype.
         column = np.array(shifts, _int_dtype(2 * top))[:, None]
-        rows = v.astype(column.dtype).repeat(len(shifts), axis=0)
-        rows[:, :1] += column
+        e = np.eye(1, sig.dim, dtype=np.int64)  # the row of e
+        rows = v + column * e
     coeffs = []
     # carrier dtype -> R with w @ R = w * V; each row of w times its own row
     # s*e + V is then s*w + w @ R.
@@ -313,7 +311,7 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
 
     def step(w, k):
         # Ck of each row, then (Uk - Ck) * U, or only its scalar part.
-        nonlocal v, column, carrier, primes, ratios, start, last
+        nonlocal v, rows, column, carrier, primes, ratios, start, last
         if primes is not None:
             ck = w[..., 0] * ratios[:, k:k + 1] % primes
             col = (w[..., 0] - ck) % primes
@@ -336,28 +334,29 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
             carrier = _int_dtype(bound, len(w) << (sig.n if k == N - 1 else 2 * sig.n))
             dtype = np.int64 if carrier is np.float64 else carrier
             if carrier is object and sig.n >= _MODULAR_MIN_N and k < N - 1:
-                count = _prime_count(_modular_bound(sig, rows, top, k))
+                count = _prime_count(_modular_bound(sig, rows, k))
                 primes, _, _, inverses = _crt_table(count)
                 ratios, start, dtype, carrier = N * inverses % primes, k, np.int64, np.float64
                 w, col = _residues(w, primes), _residues(np.array(col, object), primes)
                 if _PRIMES[0] * top * (sig.dim + 2) >= 1 << 53:
-                    # Past R(V)'s bound: reduce V and the shifts mod p; drop R(V).
+                    # Past R(V)'s bound: reduce V, the shifts and so the rows mod p.
                     v = _residues(v, primes)
                     column = None if column is None else _residues(column, primes)
+                    rows = v if column is None else v + column * e
                     right.clear()
             w = w.astype(dtype, copy=False)
         coeffs.append(ck)
         w[..., 0] = col
         wc = w.astype(carrier, copy=False)
         if k == N - 1:
-            # CN needs only <UN>_0 = <W * V>_0 + s*<W>_0.
+            # CN needs only <UN>_0 = <W * (s*e + V)>_0, row by row.
             last = w
-            out = wc @ (v.swapaxes(-1, -2) * sig._square_signs).astype(carrier, copy=False)
+            out = (wc * rows) @ sig._square_signs.astype(carrier, copy=False)
         else:
             # Uk is a polynomial in U, so U * (Uk - Ck) = (Uk - Ck) * U.
             out = wc @ factor(carrier)
-        if column is not None:
-            out += column * (wc[..., :1] if k == N - 1 else wc)
+            if column is not None:
+                out += column * wc
         out = out.astype(w.dtype, copy=False)
         return out if primes is None else out % primes[:, :, None]
 
@@ -368,7 +367,7 @@ def _fl_stack(sig: Signature, slot: tuple, shifts: Sequence[int] | None = None):
     cn = w[..., 0]  # CN = (N/N) * <UN>_0
     if primes is None:
         return coeffs + [cn.tolist()], lambda: last
-    count, B = len(primes) - 1, len(rows)
+    count, B = len(primes) - 1, w.shape[-2]
     values = _rebuild(np.concatenate(coeffs[start:] + [cn], axis=1), count)
     coeffs[start:] = [values[i:i + B] for i in range(0, len(values), B)]
 

@@ -29,7 +29,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .algebra import Multivector, Scalar, Signature, close, random_multivector
 from .charpoly import CharPoly, _fl_run, charpoly_interp, det_fl, fl_coefficients
@@ -70,8 +70,9 @@ _TERM = re.compile(
 )
 
 
-def _blade_bits(token: str, pos: int, sig: Signature) -> int:
-    bits = 0
+def _reject_blade(token: str, pos: int, sig: Signature) -> NoReturn:
+    """Raise why ``token``, an 'e' and digits that name no blade of sig, is
+    rejected: at its first digit out of range or out of ascending order."""
     last = 0
     for ch in token[1:]:
         idx = int(ch)
@@ -82,8 +83,6 @@ def _blade_bits(token: str, pos: int, sig: Signature) -> int:
                 f"blade indices must be strictly ascending in {token!r}", pos
             )
         last = idx
-        bits |= 1 << (idx - 1)
-    return bits
 
 
 def _expected(what: str, text: str, pos: int) -> ParseError:
@@ -132,7 +131,7 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
         if blade:
             bits = masks.get(blade)
             if bits is None:  # not a blade of sig: raise why
-                bits = _blade_bits(blade, m.start("blade"), sig)
+                _reject_blade(blade, m.start("blade"), sig)
         if den % b:  # rescale the row once, to the new lcm
             k = b // math.gcd(den, b)
             row = [c * k for c in row]

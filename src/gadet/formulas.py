@@ -72,7 +72,6 @@ from .algebra import (
     _MIN_N,
     _in_double_range,
     _int_dtype,
-    _max_abs,
     _normalize_exact,
     _product,
     _slots,
@@ -390,10 +389,7 @@ def evaluate_terms(sig, terms: TermSum, slots: Sequence[tuple]):
     if len(weighted) == 1 and weighted[0][0] == 1:
         return weighted[0][1][0], scale
     # The sum's int64 bound: no partial sum exceeds sum |w| * max|term|.
-    bound = sum(abs(w) * top for w, (_, top, _) in weighted)
-    if bound >= 1 << 63:
-        bound = sum(abs(w) * _max_abs(stack) for w, (stack, _, _) in weighted)
-    dtype = _int_dtype(bound)
+    dtype = _int_dtype(sum(abs(w) * top for w, (_, top, _) in weighted))
     return sum(w * stack.astype(dtype, copy=False) for w, (stack, _, _) in weighted), scale
 
 

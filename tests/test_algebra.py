@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -211,6 +213,22 @@ def test_exact_storage_is_one_row_over_one_denominator_in_lowest_terms():
     for huge in (10 ** 400, Fraction(10 ** 400, 3)):
         with pytest.raises(FloatRangeError):
             Multivector.scalar(s, huge).to_float()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_multivector_copies_and_pickles(backend):
+    # Copies rebuild the value without setting its slots, and keep the
+    # interned signature; the copy is as immutable as the original.
+    s = Signature(3, 1)
+    u = Multivector(s, [Fraction(k, 6) for k in range(-8, 8)])
+    assert u._den == 6
+    if backend == "float":
+        u = u.to_float()
+    for v in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert v == u and str(v) == str(u)
+        assert v.sig is s and v.is_float == u.is_float
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(v, "sig", Signature(2, 0))
 
 
 def _draw(kind: str, r: random.Random):

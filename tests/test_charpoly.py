@@ -332,9 +332,9 @@ def spy_modular(monkeypatch) -> list:
     steps, switches = [], []
     modular_bound, residues = charpoly._modular_bound, charpoly._residues
 
-    def spy_bound(sig, v, top, k):
+    def spy_bound(sig, v, k):
         steps.append(k)
-        return modular_bound(sig, v, top, k)
+        return modular_bound(sig, v, k)
 
     def spy_residues(x, primes):
         if steps:

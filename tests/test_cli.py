@@ -408,6 +408,13 @@ def test_eigen_command_with_ys(capsys):
     assert closed["lambdas_match_ys"] is False
 
 
+@pytest.mark.parametrize("options", [("--sig", "4,0"), ("--backend", "float", "--sig", "2,0")])
+def test_eigen_ys_rejects_float_backend_and_n_above_3(capsys, options):
+    code, _, err = run(capsys, "eigen", "--ys", *options, "1 + e1")
+    assert code == 2
+    assert "--ys needs the rational backend and n <= 3" in err
+
+
 def test_eigen_command_text(capsys):
     code, out, _ = run(capsys, "eigen", "--sig", "0,1", "e1")
     assert code == 0
